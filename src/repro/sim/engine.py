@@ -19,36 +19,18 @@ exception out of :meth:`Simulator.run` otherwise (failures are never
 silent).  :meth:`Process.interrupt` cancels a pending wait by throwing an
 exception into the process at the current time.
 
-The kernel is single-threaded and deterministic: events scheduled at the
-same timestamp fire in scheduling order.
-
-Two run loops drain the queue (``Simulator.run``):
-
-* the **legacy loop** (``legacy=True``): one binary-heap pop per event —
-  the reference implementation, kept verbatim for differential testing;
-* the **epoch fast-forward loop** (the default): a conservative-PDES
-  style batcher.  Components with guaranteed minimum outbound latency
-  (link SerDes, DRAM timing floors) register :class:`LookaheadDomain`
-  lookaheads and park their monotone timers in per-component
-  :class:`TimerQueue` countdown queues (O(1) append, no heap).  Each
-  epoch the engine computes a safe horizon ``t0 + min(lookahead)``,
-  bulk-expires every due timer with one sort, and merges the few
-  intra-epoch arrivals through a small pending heap.  Execution order is
-  the exact global ``(time, seq)`` order of the legacy loop — the two
-  loops are bit-identical by construction, and the horizon only tunes
-  batch size, never correctness (see ``tests/test_epoch_fastforward.py``
-  and DESIGN.md §14).
+The kernel is single-threaded and deterministic: one binary heap of
+``(time, seq, callback, arg)`` entries, popped one event at a time, so
+events scheduled at the same timestamp fire in scheduling order.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_right
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimStallError, SimulationError
-from repro.sim.time import DEFAULT_EPOCH_SPAN_PS, EPOCH_FLOOR_PS
 from repro.trace.recorder import NULL_RECORDER
 
 ProcessGen = Generator[Any, Any, Any]
@@ -56,27 +38,6 @@ ProcessGen = Generator[Any, Any, Any]
 #: sentinel bound for the run loop: an int compares smaller than +inf, so
 #: "no limit" needs no per-event None check.
 _NO_BOUND = float("inf")
-
-#: process-wide default run loop (False = epoch fast-forward).  Flipped by
-#: :func:`set_default_loop` so whole experiment runs — which construct
-#: their simulators internally — can be replayed under the legacy loop for
-#: differential verification.
-_DEFAULT_LEGACY = False
-
-
-def set_default_loop(legacy: bool) -> bool:
-    """Select the loop new :class:`Simulator` instances use; returns the
-    previous setting (restore it in a ``finally``)."""
-    global _DEFAULT_LEGACY
-    previous = _DEFAULT_LEGACY
-    _DEFAULT_LEGACY = bool(legacy)
-    return previous
-
-
-def default_loop_legacy() -> bool:
-    """Whether new simulators currently default to the legacy loop."""
-    return _DEFAULT_LEGACY
-
 
 class StallWatchdog:
     """No-progress detector consulted by :meth:`Simulator.run`.
@@ -465,151 +426,13 @@ class Process:
             event.add_callback(on_fire)
 
 
-class LookaheadDomain:
-    """A named source of conservative lookahead.
-
-    A component registers the minimum delay between any event it executes
-    and the earliest event it can schedule in response — a link's
-    propagation latency, a DRAM access-time floor, a refresh interval.
-    The epoch loop advances in batches of ``min`` over all registered
-    lookaheads (floored at :data:`~repro.sim.time.EPOCH_FLOOR_PS`).
-
-    The bound is a *performance hint*, not a safety requirement: arrivals
-    that land inside the active epoch anyway are merged through the
-    pending heap in exact ``(time, seq)`` order, so an optimistic (too
-    large) lookahead can never reorder events — it only shifts work from
-    the batched fast path to the per-event heap path.
-    """
-
-    __slots__ = ("sim", "name", "_lookahead_ps")
-
-    def __init__(self, sim: "Simulator", name: str, lookahead_ps: int) -> None:
-        if lookahead_ps <= 0:
-            raise SimulationError(
-                f"lookahead domain {name!r}: lookahead must be positive, "
-                f"got {lookahead_ps}"
-            )
-        self.sim = sim
-        self.name = name
-        self._lookahead_ps = lookahead_ps
-
-    @property
-    def lookahead_ps(self) -> int:
-        """The domain's current minimum outbound latency."""
-        return self._lookahead_ps
-
-    def update(self, lookahead_ps: int) -> None:
-        """Change the lookahead (e.g. after reconfiguration)."""
-        if lookahead_ps <= 0:
-            raise SimulationError(
-                f"lookahead domain {self.name!r}: lookahead must be positive, "
-                f"got {lookahead_ps}"
-            )
-        self._lookahead_ps = lookahead_ps
-        self.sim._min_lookahead = None  # invalidate the cached minimum
-
-
-class TimerQueue:
-    """A per-component countdown queue of monotone timers.
-
-    Components whose completion times are non-decreasing (a serialising
-    :class:`~repro.sim.resource.BandwidthResource`, a memory controller's
-    in-order issue slots) arm timers here with
-    :meth:`Simulator.at_monotone` instead of the global heap: arming is an
-    O(1) list append, and the epoch loop bulk-expires every timer due
-    within the horizon with one ``bisect`` + slice per queue instead of
-    one heap pop per timer.  A timer that would violate monotonicity is
-    transparently routed to the global heap, so the queue is always safe
-    to use even when a component is only *mostly* in-order.
-    """
-
-    __slots__ = ("name", "_times", "_entries", "_head")
-
-    #: consumed-prefix length that triggers compaction of the backing lists.
-    _COMPACT_AT = 4096
-
-    def __init__(self, name: str = "timers") -> None:
-        self.name = name
-        #: fire times, parallel to ``_entries`` (bisect runs on this).
-        self._times: List[int] = []
-        self._entries: List[Tuple[int, int, Callable[[Any], None], Any]] = []
-        self._head = 0
-
-    @property
-    def pending(self) -> int:
-        """Armed timers not yet expired."""
-        return len(self._times) - self._head
-
-    def head_key(self) -> Optional[Tuple[int, int]]:
-        """``(time, seq)`` of the next timer to fire, or None when empty."""
-        if self._head < len(self._times):
-            entry = self._entries[self._head]
-            return (entry[0], entry[1])
-        return None
-
-    def take_until(
-        self, bound: int
-    ) -> List[Tuple[int, int, Callable[[Any], None], Any]]:
-        """Bulk-expire every timer with ``time <= bound`` (arrival order)."""
-        head = self._head
-        times = self._times
-        cut = bisect_right(times, bound, head)
-        if cut == head:
-            return []
-        if cut == len(times):
-            if head:
-                out = self._entries[head:]
-            else:
-                out = self._entries  # steal the backing list: zero copy
-            self._entries = []
-            self._times = []
-            self._head = 0
-            return out
-        out = self._entries[head:cut]
-        if cut >= self._COMPACT_AT:
-            del times[:cut]
-            del self._entries[:cut]
-            self._head = 0
-        else:
-            self._head = cut
-        return out
-
-    def drain_all(self) -> List[Tuple[int, int, Callable[[Any], None], Any]]:
-        """Remove and return every armed timer (legacy-loop flush)."""
-        out = self._entries[self._head :]
-        self._times.clear()
-        self._entries.clear()
-        self._head = 0
-        return out
-
-    def __repr__(self) -> str:
-        return f"TimerQueue({self.name!r}, pending={self.pending})"
-
-
 class Simulator:
-    """The event loop: a heap of ``(time, seq, callback, arg)`` entries,
-    plus per-component :class:`TimerQueue` countdown queues the epoch
-    fast-forward loop expires in bulk."""
+    """The event loop: a binary heap of ``(time, seq, callback, arg)``
+    entries, one pop per event."""
 
-    __slots__ = (
-        "_now",
-        "_seq",
-        "_queue",
-        "_live",
-        "trace",
-        "_legacy",
-        "_legacy_active",
-        "_fifos",
-        "_fifo_heap",
-        "_pending",
-        "_epoch_end",
-        "_batch",
-        "_batch_pos",
-        "_lookaheads",
-        "_min_lookahead",
-    )
+    __slots__ = ("_now", "_seq", "_queue", "_live", "trace")
 
-    def __init__(self, legacy: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, Callable[[Any], None], Any]] = []
@@ -618,26 +441,6 @@ class Simulator:
         #: observability hook; the shared no-op recorder unless a
         #: :class:`~repro.trace.recorder.TraceRecorder` is installed.
         self.trace = NULL_RECORDER
-        #: which run loop this simulator uses (None -> process default).
-        self._legacy = _DEFAULT_LEGACY if legacy is None else bool(legacy)
-        #: True while a legacy run drains (routes monotone timers to the
-        #: heap so the reference loop stays one-heap-pop-per-event).
-        self._legacy_active = self._legacy
-        #: every registered countdown queue (legacy flush, depth accounting).
-        self._fifos: List[TimerQueue] = []
-        #: index heap of (head_time, head_seq, queue) over non-empty fifos.
-        self._fifo_heap: List[Tuple[int, int, TimerQueue]] = []
-        #: intra-epoch arrivals, merged with the sorted batch in seq order.
-        self._pending: List[Tuple[int, int, Callable[[Any], None], Any]] = []
-        #: horizon of the epoch currently executing (-1 outside one);
-        #: schedule calls compare against it to route arrivals.
-        self._epoch_end = -1
-        #: batch being executed (diagnostics only; see ``_queued_events``).
-        self._batch: Optional[List[Tuple[int, int, Callable[[Any], None], Any]]] = None
-        self._batch_pos = 0
-        self._lookaheads: List[LookaheadDomain] = []
-        #: cached min over domain lookaheads (None -> recompute).
-        self._min_lookahead: Optional[int] = None
 
     @property
     def now(self) -> int:
@@ -654,22 +457,13 @@ class Simulator:
             (process.name, process.waiting_on()) for process in self._live
         )
 
-    def _queued_events(self) -> int:
-        """Every scheduled-but-unexecuted event across all structures."""
-        depth = len(self._queue) + len(self._pending)
-        for fifo in self._fifos:
-            depth += fifo.pending
-        if self._batch is not None:
-            depth += len(self._batch) - self._batch_pos
-        return depth
-
     def snapshot(self, events_processed: int = 0) -> Dict[str, Any]:
         """Diagnostic state dump used by stall/deadlock reports."""
         blocked = self.blocked_processes()
         return {
             "time_ps": self._now,
             "events_processed": events_processed,
-            "queue_depth": self._queued_events(),
+            "queue_depth": len(self._queue),
             "live_processes": len(blocked),
             "blocked": blocked[:16],
         }
@@ -683,11 +477,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        time = self._now + delay
-        if time <= self._epoch_end:
-            heapq.heappush(self._pending, (time, self._seq, callback, arg))
-        else:
-            heapq.heappush(self._queue, (time, self._seq, callback, arg))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, callback, arg))
 
     def at(self, time: int, callback: Callable[[Any], None], arg: Any = None) -> None:
         """Run ``callback(arg)`` at absolute time ``time``."""
@@ -696,77 +486,11 @@ class Simulator:
                 f"cannot schedule in the past (delay={time - self._now})"
             )
         self._seq += 1
-        if time <= self._epoch_end:
-            heapq.heappush(self._pending, (time, self._seq, callback, arg))
-        else:
-            heapq.heappush(self._queue, (time, self._seq, callback, arg))
+        heapq.heappush(self._queue, (time, self._seq, callback, arg))
 
     def _schedule_now(self, callback: Callable[[Any], None], arg: Any) -> None:
         self._seq += 1
-        if self._now <= self._epoch_end:
-            heapq.heappush(self._pending, (self._now, self._seq, callback, arg))
-        else:
-            heapq.heappush(self._queue, (self._now, self._seq, callback, arg))
-
-    # -- lookahead + countdown queues (epoch fast-forward) --------------------------
-
-    def register_lookahead(self, name: str, lookahead_ps: int) -> LookaheadDomain:
-        """Register a conservative-lookahead domain; returns its handle."""
-        domain = LookaheadDomain(self, name, lookahead_ps)
-        self._lookaheads.append(domain)
-        self._min_lookahead = None
-        return domain
-
-    def timer_queue(self, name: str = "timers") -> TimerQueue:
-        """Create a countdown queue for :meth:`at_monotone` timers."""
-        fifo = TimerQueue(name)
-        self._fifos.append(fifo)
-        return fifo
-
-    def at_monotone(
-        self,
-        fifo: TimerQueue,
-        time: int,
-        callback: Callable[[Any], None],
-        arg: Any = None,
-    ) -> None:
-        """Run ``callback(arg)`` at ``time`` via a countdown queue.
-
-        Semantically identical to :meth:`at` — same global ``(time, seq)``
-        execution order — but O(1) when ``time`` does not precede the
-        queue's newest timer.  Out-of-order timers, arrivals inside the
-        epoch currently executing, and legacy-loop runs all fall back to
-        the appropriate heap transparently.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past (delay={time - self._now})"
-            )
-        self._seq += 1
-        if time <= self._epoch_end:
-            heapq.heappush(self._pending, (time, self._seq, callback, arg))
-            return
-        times = fifo._times
-        if self._legacy_active or (times and time < times[-1]):
-            heapq.heappush(self._queue, (time, self._seq, callback, arg))
-            return
-        if fifo._head == len(times):
-            heapq.heappush(self._fifo_heap, (time, self._seq, fifo))
-        times.append(time)
-        fifo._entries.append((time, self._seq, callback, arg))
-
-    def _epoch_span(self) -> int:
-        """Safe horizon length: min over domain lookaheads, floored."""
-        span = self._min_lookahead
-        if span is None:
-            if self._lookaheads:
-                span = min(d._lookahead_ps for d in self._lookaheads)
-            else:
-                span = DEFAULT_EPOCH_SPAN_PS
-            if span < EPOCH_FLOOR_PS:
-                span = EPOCH_FLOOR_PS
-            self._min_lookahead = span
-        return span
+        heapq.heappush(self._queue, (self._now, self._seq, callback, arg))
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a new process from a generator and return its handle."""
@@ -783,7 +507,6 @@ class Simulator:
         until: Optional[int] = None,
         max_events: Optional[int] = None,
         watchdog: Optional[StallWatchdog] = None,
-        legacy: Optional[bool] = None,
     ) -> int:
         """Drain the event queue; return the final simulation time.
 
@@ -802,25 +525,45 @@ class Simulator:
         snapshot), and — when ``detect_deadlock`` is set — a structured
         :class:`~repro.errors.DeadlockError` naming the waiting
         processes if the queue drains while some are still suspended.
-
-        ``legacy`` selects the run loop for this call (default: the
-        simulator's construction-time choice, which itself defaults to
-        the process-wide :func:`set_default_loop` setting).  Both loops
-        execute the identical global ``(time, seq)`` event order; the
-        epoch loop just gets there with batched timer expiry.
         """
         if watchdog is None:
             watchdog = _ACTIVE_WATCHDOG
-        use_legacy = self._legacy if legacy is None else legacy
-        if use_legacy:
-            processed = self._run_legacy(until, max_events, watchdog)
-        else:
-            processed = self._run_epoch(until, max_events, watchdog)
-        if (
-            watchdog is not None
-            and watchdog.detect_deadlock
-            and self._queued_events() == 0
-        ):
+        processed = 0
+        trace = self.trace
+        tracing = trace.enabled
+        check_every = (
+            watchdog.check_interval_events
+            if watchdog is not None and watchdog.deadline is not None
+            else 0
+        )
+        # hot loop: everything loop-invariant is hoisted into locals, the
+        # horizon/budget guards become plain comparisons against +inf
+        # sentinels, and watchdog polling is amortized onto a next-check
+        # threshold instead of a modulo per event.
+        queue = self._queue
+        pop = heapq.heappop
+        horizon = until if until is not None else _NO_BOUND
+        budget = max_events if max_events is not None else _NO_BOUND
+        next_check = check_every if check_every else _NO_BOUND
+        while queue:
+            entry = queue[0]
+            time = entry[0]
+            if time > horizon:
+                break
+            if processed >= budget:
+                raise SimulationError(f"exceeded max_events={max_events}")
+            pop(queue)
+            if tracing and time != self._now:
+                self._now = time
+                trace.on_time_advance(time)
+            else:
+                self._now = time
+            entry[2](entry[3])
+            processed += 1
+            if processed >= next_check:
+                watchdog.check(self, processed)
+                next_check += check_every
+        if watchdog is not None and watchdog.detect_deadlock and not queue:
             blocked = self.blocked_processes()
             if blocked:
                 detail = "; ".join(f"{name} <- {wait}" for name, wait in blocked[:8])
@@ -835,180 +578,6 @@ class Simulator:
             if self.trace.enabled:
                 self.trace.on_time_advance(until)
         return self._now
-
-    def _run_legacy(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        watchdog: Optional[StallWatchdog],
-    ) -> int:
-        """Reference loop: one heap pop per event (kept for differential
-        verification of the epoch loop; ``legacy=True``)."""
-        processed = 0
-        trace = self.trace
-        tracing = trace.enabled
-        check_every = (
-            watchdog.check_interval_events
-            if watchdog is not None and watchdog.deadline is not None
-            else 0
-        )
-        # hot loop: everything loop-invariant is hoisted into locals, the
-        # horizon/budget guards become plain comparisons against +inf
-        # sentinels, and watchdog polling is amortized onto a next-check
-        # threshold instead of a modulo per event.  Semantics (event order,
-        # clock movement, error behaviour) are identical to the plain loop.
-        queue = self._queue
-        pop = heapq.heappop
-        # countdown queues may hold timers armed before this run (or by a
-        # previous epoch-mode run): fold them into the heap once, then
-        # route new arrivals straight to the heap for the drain.
-        pending_extras = self._pending
-        for fifo in self._fifos:
-            pending_extras.extend(fifo.drain_all())
-        if pending_extras:
-            queue.extend(pending_extras)
-            heapq.heapify(queue)
-            self._pending = []
-        self._fifo_heap.clear()
-        self._legacy_active = True
-        horizon = until if until is not None else _NO_BOUND
-        budget = max_events if max_events is not None else _NO_BOUND
-        next_check = check_every if check_every else _NO_BOUND
-        try:
-            while queue:
-                entry = queue[0]
-                time = entry[0]
-                if time > horizon:
-                    break
-                if processed >= budget:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                pop(queue)
-                if tracing and time != self._now:
-                    self._now = time
-                    trace.on_time_advance(time)
-                else:
-                    self._now = time
-                entry[2](entry[3])
-                processed += 1
-                if processed >= next_check:
-                    watchdog.check(self, processed)
-                    next_check += check_every
-        finally:
-            self._legacy_active = self._legacy
-        return processed
-
-    def _run_epoch(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        watchdog: Optional[StallWatchdog],
-    ) -> int:
-        """Epoch-synchronized fast-forward loop (the default).
-
-        Repeats: find the next event time ``t0``, open an epoch up to
-        ``t0 + min(lookahead)``, bulk-expire every heap entry and every
-        countdown-queue timer due inside it, sort the batch once, and
-        execute it while merging intra-epoch arrivals through a small
-        pending heap.  The merge makes the horizon safe by construction:
-        every callback runs in the same global ``(time, seq)`` order the
-        legacy loop would have used.
-        """
-        processed = 0
-        trace = self.trace
-        tracing = trace.enabled
-        check_every = (
-            watchdog.check_interval_events
-            if watchdog is not None and watchdog.deadline is not None
-            else 0
-        )
-        queue = self._queue
-        fifo_heap = self._fifo_heap
-        pending = self._pending
-        pop = heapq.heappop
-        push = heapq.heappush
-        horizon = until if until is not None else _NO_BOUND
-        budget = max_events if max_events is not None else _NO_BOUND
-        next_check = check_every if check_every else _NO_BOUND
-        while pending:  # leftovers from an interrupted previous run
-            push(queue, pop(pending))
-        while True:
-            # --- next epoch start: earliest heap entry or countdown head
-            t0 = queue[0][0] if queue else _NO_BOUND
-            while fifo_heap:
-                head_time, head_seq, fifo = fifo_heap[0]
-                key = fifo.head_key()
-                if key != (head_time, head_seq):
-                    # stale index entry (queue emptied or head consumed)
-                    pop(fifo_heap)
-                    if key is not None:
-                        push(fifo_heap, (key[0], key[1], fifo))
-                    continue
-                if head_time < t0:
-                    t0 = head_time
-                break
-            if t0 is _NO_BOUND or t0 > horizon:
-                break
-            epoch_end = t0 + self._epoch_span()
-            if epoch_end > horizon:
-                epoch_end = until  # horizon is finite here iff until is
-            # --- gather: bulk-expire everything due inside the epoch
-            batch = []
-            while queue and queue[0][0] <= epoch_end:
-                batch.append(pop(queue))
-            while fifo_heap and fifo_heap[0][0] <= epoch_end:
-                _t, _s, fifo = pop(fifo_heap)
-                batch.extend(fifo.take_until(epoch_end))
-                key = fifo.head_key()
-                if key is not None:
-                    push(fifo_heap, (key[0], key[1], fifo))
-            batch.sort()
-            # --- execute, merging intra-epoch arrivals in (time, seq) order
-            self._epoch_end = epoch_end
-            self._batch = batch
-            self._batch_pos = 0
-            index = 0
-            size = len(batch)
-            try:
-                while True:
-                    if pending:
-                        if index < size and batch[index] < pending[0]:
-                            entry = batch[index]
-                            index += 1
-                        else:
-                            entry = pop(pending)
-                    elif index < size:
-                        entry = batch[index]
-                        index += 1
-                    else:
-                        break
-                    if processed >= budget:
-                        push(queue, entry)
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    time = entry[0]
-                    if tracing and time != self._now:
-                        self._now = time
-                        trace.on_time_advance(time)
-                    else:
-                        self._now = time
-                    entry[2](entry[3])
-                    processed += 1
-                    if processed >= next_check:
-                        self._batch_pos = index
-                        watchdog.check(self, processed)
-                        next_check += check_every
-            except BaseException:
-                # restore unexecuted work so diagnostics (and any caller
-                # that resumes after a stall) see a consistent queue
-                for entry in batch[index:]:
-                    push(queue, entry)
-                while pending:
-                    push(queue, pop(pending))
-                raise
-            finally:
-                self._epoch_end = -1
-                self._batch = None
-                self._batch_pos = 0
-        return processed
 
     def run_process(self, gen: ProcessGen, name: str = "") -> Any:
         """Convenience: start a process, run to completion, return its value."""

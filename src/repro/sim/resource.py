@@ -54,11 +54,6 @@ class BandwidthResource:
         # rebuild them per call
         self._n_transfer = f"{name}.transfer"
         self._n_occupy = f"{name}.occupy"
-        # serialisation makes grant times monotone, so completions ride a
-        # countdown queue the epoch loop bulk-expires; the propagation
-        # latency is this medium's conservative lookahead contribution
-        self._timers = sim.timer_queue(name)
-        self._lookahead = sim.register_lookahead(name, latency_ps + 1)
 
     def set_background_load(self, fraction: float) -> None:
         """Reserve a constant fraction of the medium for background traffic.
@@ -111,7 +106,7 @@ class BandwidthResource:
         self.bytes_moved += nbytes
         self.transfers += 1
         event = self.sim.event(name=self._n_transfer)
-        self.sim.at_monotone(self._timers, end + self.latency_ps, event.succeed, nbytes)
+        self.sim.at(end + self.latency_ps, event.succeed, nbytes)
         return event
 
     def occupy(self, duration_ps: int) -> SimEvent:
@@ -124,10 +119,7 @@ class BandwidthResource:
         self.busy_ps += duration_ps
         self.transfers += 1
         event = self.sim.event(name=self._n_occupy)
-        # occupy grants fire without the propagation latency, so they can
-        # land earlier than an in-flight transfer completion; at_monotone
-        # detects that and routes the stragglers to the heap
-        self.sim.at_monotone(self._timers, end, event.succeed, None)
+        self.sim.at(end, event.succeed, None)
         return event
 
 

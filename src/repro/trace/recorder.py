@@ -12,7 +12,7 @@ Span taxonomy (the ``cat`` field):
 
 * ``network`` — packet lifecycles on the DL bridge and the data-link
   protocol model (route spans, per-hop retries, DLL sends),
-* ``dram`` — command issue at the module / rank / FR-FCFS layers,
+* ``dram`` — command issue at the module and rank layers,
 * ``host`` — forwarding-engine spans and polling notices,
 * ``nmp`` — thread execution, barrier and broadcast stalls,
 * ``idc`` — remote read/write/broadcast operations as seen by the

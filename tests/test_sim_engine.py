@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.errors import DeadlockError, SimulationError
+from repro.sim import AllOf, AnyOf, BandwidthResource, Simulator, StallWatchdog
 from repro.sim.time import ns
 
 
@@ -461,16 +461,121 @@ def test_watchdog_rejects_nonpositive_budget():
 def test_max_events_exact_budget_completes():
     # a run finishing in exactly max_events events is within budget: the
     # guard fires only when one MORE in-horizon event would exceed it
-    for legacy in (False, True):
-        sim = Simulator(legacy=legacy)
-        fired = []
-        for i in range(10):
-            sim.schedule(i + 1, fired.append, i)
-        assert sim.run(max_events=10) == 10
-        assert fired == list(range(10))
+    sim = Simulator()
+    fired = []
+    for i in range(10):
+        sim.schedule(i + 1, fired.append, i)
+    assert sim.run(max_events=10) == 10
+    assert fired == list(range(10))
 
-        sim = Simulator(legacy=legacy)
-        for i in range(10):
-            sim.schedule(i + 1, fired.append, i)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=9)
+    sim = Simulator()
+    for i in range(10):
+        sim.schedule(i + 1, fired.append, i)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=9)
+
+
+def _probe_sim():
+    """A scenario crossing every scheduling path: serialised link grants,
+    a chain of short relative timers, processes, and absolute timers
+    including one armed out of time order."""
+    sim = Simulator()
+    log = []
+
+    def note(tag):
+        log.append((sim.now, tag))
+
+    link = BandwidthResource(sim, 10.0, latency_ps=40_000, name="link")
+
+    def worker(count, size, tag):
+        for i in range(count):
+            yield link.transfer(size)
+            note(f"{tag}:{i}")
+
+    sim.process(worker(25, 256, "wa"), name="wa")
+    sim.process(worker(25, 192, "wb"), name="wb")
+
+    def chain(depth):
+        note(f"chain:{depth}")
+        if depth:
+            sim.schedule(1_500, chain, depth - 1)
+
+    sim.schedule(3_000, chain, 12)
+
+    when = 5_000
+    for i in range(30):
+        sim.at(when, note, f"aux:{i}")
+        when += 7_000
+    sim.at(12_345, note, "aux:ooo")  # earlier than the timers armed before it
+
+    for i in range(10):
+        sim.at(9_000 + 17_000 * i, note, f"at:{i}")
+    return sim, log
+
+
+def _probe_event_count():
+    """Exact number of events the probe executes: the smallest
+    ``max_events`` budget it completes under."""
+    low, high = 0, 10_000
+    while low < high:
+        mid = (low + high) // 2
+        sim, _log = _probe_sim()
+        try:
+            sim.run(max_events=mid)
+        except SimulationError:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+def test_until_segments_match_single_shot():
+    """Slicing a run into ``until`` segments must not change anything."""
+    sim_one, log_one = _probe_sim()
+    sim_one.run()
+    assert log_one  # the probe actually exercised something
+
+    sim, log = _probe_sim()
+    for horizon in range(20_000, 400_000, 37_000):
+        assert sim.run(until=horizon) == horizon  # clock lands on the horizon
+    sim.run()
+    assert log == log_one
+    assert sim.now == sim_one.now
+
+
+def test_max_events_budget_then_resume_reaches_the_same_log():
+    n_events = _probe_event_count()
+    sim_ref, log_ref = _probe_sim()
+    sim_ref.run()
+
+    # a run completing in exactly max_events events must NOT raise
+    sim, log = _probe_sim()
+    sim.run(max_events=n_events)
+    assert log == log_ref
+
+    # one short of the budget must raise, and the queue must stay
+    # consistent enough to resume to the identical final state
+    sim, log = _probe_sim()
+    with pytest.raises(SimulationError):
+        sim.run(max_events=n_events - 1)
+    sim.run()
+    assert log == log_ref
+
+
+def test_deadlock_error_message_is_structured():
+    sim = Simulator()
+    never = sim.event(name="never")
+
+    def waiter():
+        yield never
+
+    sim.process(waiter(), name="stuck")
+    sim.schedule(1_000, lambda _arg: None)
+    with pytest.raises(DeadlockError) as excinfo:
+        sim.run(watchdog=StallWatchdog(detect_deadlock=True))
+    assert str(excinfo.value) == (
+        "event queue drained at t=1000ps with 1 blocked process(es): "
+        "stuck <- event 'never'"
+    )
+    assert excinfo.value.blocked == [("stuck", "event 'never'")]
+    assert excinfo.value.time_ps == 1_000

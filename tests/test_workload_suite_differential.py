@@ -1,10 +1,8 @@
 """Differential harness for the workload suite (dlrm + apsp).
 
-Three layers of byte-level pinning:
+Two layers of byte-level pinning (the result bytes themselves are pinned
+in ``tests/test_golden_results.py``):
 
-* **Loop differential** — every new spec kind produces a bit-identical
-  :class:`RunResult` under the epoch fast-forward loop and the legacy
-  one-pop-per-event loop, including the trace streams.
 * **Scheduler differential** — a mixed dlrm+apsp grid run with
   ``jobs=2`` serializes byte-identically to ``jobs=1``.
 * **Cache-key goldens** — the new spec kinds' SHA-256 keys are pinned,
@@ -27,8 +25,6 @@ from repro.experiments.runner import (
     execute_spec,
     parse_params,
 )
-from repro.experiments.trace_run import run_traced
-from repro.sim import default_loop_legacy, set_default_loop
 from repro.sim.stats import StatRegistry
 
 # -- shared fixtures -----------------------------------------------------------------
@@ -68,43 +64,8 @@ APSP_SPECS = [
 ]
 
 
-def result_bytes(spec):
-    return json.dumps(execute_spec(spec).to_json_dict(), sort_keys=True)
-
-
 def serialize(results):
     return json.dumps([r.to_json_dict() for r in results], sort_keys=True)
-
-
-# -- epoch vs legacy loop ------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "spec", DLRM_SPECS + APSP_SPECS, ids=lambda s: f"{s.workload}-{s.kind}-{s.mechanism}"
-)
-def test_epoch_and_legacy_loops_agree_byte_for_byte(spec):
-    epoch = result_bytes(spec)
-    set_default_loop(default_loop_legacy)
-    try:
-        legacy = result_bytes(spec)
-    finally:
-        set_default_loop(None)
-    assert epoch == legacy
-
-
-@pytest.mark.parametrize("experiment", ["dlrm", "apsp"])
-def test_trace_streams_identical_under_both_loops(experiment):
-    epoch = run_traced(experiment, size="tiny")
-    set_default_loop(default_loop_legacy)
-    try:
-        legacy = run_traced(experiment, size="tiny")
-    finally:
-        set_default_loop(None)
-    assert epoch["recorder"].spans == legacy["recorder"].spans
-    assert epoch["recorder"].instants == legacy["recorder"].instants
-    assert (
-        epoch["result"].to_json_dict() == legacy["result"].to_json_dict()
-    )
 
 
 # -- parallel scheduler --------------------------------------------------------------
