@@ -362,7 +362,6 @@ def main(argv=None) -> int:
     grid_runner = sweep_runner.configure(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else _cache_dir_for(args),
-        use_cache=not args.no_cache,
         retries=args.retries,
         spec_timeout=args.spec_timeout,
         retry_dead_letter=args.retry_dead_letter,

@@ -16,17 +16,25 @@ loops could not:
   Results always come back in input order, and because every simulation
   is bit-deterministic (see ``tests/test_determinism.py``) the output is
   byte-identical whatever the worker count.
-* **Supervision** — long sweeps survive their own harness.  Each spec is
-  dispatched individually and **checkpointed to the cache the moment it
-  completes**, so an interrupted sweep resumes from the cache with zero
-  lost work.  Failed specs are retried with capped exponential backoff;
-  specs that exhaust their budget are quarantined into a **dead-letter
-  list** (:attr:`SweepRunner.dead_letters`) instead of aborting the
-  sweep.  A per-spec wall-clock timeout arms the simulation engine's
+* **Supervision** — long sweeps survive their own harness.  One dispatch
+  loop (:meth:`SweepRunner._run_local`) drives every local batch, on the
+  process pool or, for ``jobs=1`` and one-spec batches, on an in-process
+  executor that keeps one spec in flight.  Each spec is
+  **checkpointed to the cache the moment it completes**, so an
+  interrupted sweep resumes from the cache with zero lost work.  Failed
+  specs are retried with capped exponential backoff; specs that exhaust
+  their budget are quarantined into a **dead-letter list**
+  (:attr:`SweepRunner.dead_letters`) instead of aborting the sweep.  A
+  per-spec wall-clock timeout arms the simulation engine's
   :class:`~repro.sim.engine.StallWatchdog` (rich where-did-it-hang
   diagnosis) with a SIGALRM backstop for hangs outside the simulator.
   A :class:`~concurrent.futures.process.BrokenProcessPool` respawns the
-  pool; if respawns keep dying, execution degrades to in-process serial.
+  pool; after :data:`MAX_POOL_RESPAWNS` respawns the same loop swaps to
+  the in-process executor and finishes serially.
+* **Distribution** — with a broker (:mod:`repro.fabric`) the misses
+  drain through the shared work queue instead; the broker publishes
+  every result and records every quarantine, so the runner only
+  collects them.
 
 The CLI configures a process-wide default runner (:func:`configure`);
 experiments call :func:`run_specs` and inherit its jobs/cache settings.
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import signal
 import sys
@@ -107,7 +116,8 @@ ALARM_GRACE = 1.25
 #: terminates the pool (last-resort reaper for non-Python hangs).
 PARENT_REAP_GRACE_S = 10.0
 
-#: pool respawns tolerated per batch before degrading to serial.
+#: pool respawns tolerated per batch before the dispatch loop swaps to
+#: the in-process executor.
 MAX_POOL_RESPAWNS = 2
 
 
@@ -499,6 +509,26 @@ class DeadLetter:
         return line
 
 
+class _InProcessExecutor:
+    """Runs each submission to completion in the calling process.
+
+    ``submit`` returns an already-finished :class:`Future`, so the
+    dispatch loop drives ``jobs=1`` exactly like a one-worker pool.
+    Only ``Exception`` is captured: ``KeyboardInterrupt`` propagates.
+    """
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
 # -- the runner ----------------------------------------------------------------------
 
 
@@ -513,12 +543,10 @@ class SweepRunner:
         self,
         jobs: int = 1,
         cache: Optional[Union[ResultsCache, str]] = None,
-        use_cache: bool = True,
         execute: Callable[[RunSpec], RunResult] = execute_spec,
         retries: int = 1,
         spec_timeout: Optional[float] = None,
         strict: bool = True,
-        max_pool_respawns: int = MAX_POOL_RESPAWNS,
         dead_letter_store: Optional[Union[DeadLetterStore, str]] = None,
         retry_dead_letter: bool = False,
         broker: Optional[object] = None,
@@ -530,6 +558,8 @@ class SweepRunner:
         if spec_timeout is not None and spec_timeout <= 0:
             raise ConfigError(f"spec_timeout must be positive, got {spec_timeout}")
         self.jobs = jobs
+        #: results cache; ``None`` makes every spec simulate and nothing
+        #: persist.
         self.cache = ResultsCache(cache) if isinstance(cache, str) else cache
         #: distributed mode: a :class:`~repro.fabric.broker.WorkBroker`
         #: (or its directory).  Cache misses are submitted to the broker
@@ -541,17 +571,10 @@ class SweepRunner:
             broker = WorkBroker(broker)
         self.broker = broker
         if self.broker is not None:
-            if not use_cache:
-                raise ConfigError(
-                    "broker mode requires the results cache: idempotent "
-                    "publishing is what makes at-least-once execution "
-                    "yield exactly-once results"
-                )
             if self.cache is None:
                 self.cache = self.broker.cache  # type: ignore[attr-defined]
             if dead_letter_store is None:
                 dead_letter_store = self.broker.dead_letters  # type: ignore[attr-defined]
-        self.use_cache = use_cache and self.cache is not None
         self.execute = execute
         #: extra attempts granted to a failing spec before quarantine.
         self.retries = retries
@@ -563,7 +586,6 @@ class SweepRunner:
         #: ``None`` at the failed positions and the caller inspects
         #: :attr:`dead_letters`.
         self.strict = strict
-        self.max_pool_respawns = max_pool_respawns
         #: persisted quarantine: a rerun skips specs recorded here unless
         #: :attr:`retry_dead_letter` is set; fresh quarantines are written
         #: through, and a skipped-then-retried spec that succeeds is
@@ -592,10 +614,10 @@ class SweepRunner:
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Execute a batch; results are ordered exactly like ``specs``.
 
-        With caching enabled, each distinct spec simulates at most once
-        per batch (duplicates share the result) and not at all when a
-        warm cache entry exists.  With caching disabled every spec
-        simulates, unconditionally.
+        With a cache, each distinct spec simulates at most once per
+        batch (duplicates share the result) and not at all when a warm
+        cache entry exists.  Without one every spec simulates,
+        unconditionally.
 
         Every completed spec is checkpointed to the cache *the moment it
         finishes*, so an interrupted batch (crash, ``KeyboardInterrupt``)
@@ -611,7 +633,7 @@ class SweepRunner:
         miss_specs: List[RunSpec] = []
         miss_keys: List[str] = []
 
-        if self.use_cache:
+        if self.cache is not None:
             pending: Dict[str, int] = {}  # key -> position in miss_specs
             for index, spec in enumerate(spec_list):
                 key = spec.cache_key()
@@ -645,7 +667,7 @@ class SweepRunner:
                     continue
                 skipped_indices += len(targets[pos])
                 skipped.append(
-                    self._dead_letter(
+                    DeadLetter(
                         miss_specs[pos],
                         key,
                         int(known.get("attempts", 0)),
@@ -660,27 +682,35 @@ class SweepRunner:
                 miss_keys = [miss_keys[pos] for pos in keep]
                 targets = [targets[pos] for pos in keep]
 
+        def assign(pos: int, result: RunResult) -> None:
+            for index in targets[pos]:
+                results[index] = result
+
         def checkpoint(pos: int, result: RunResult) -> None:
-            if self.use_cache:
+            if self.cache is not None:
                 self.cache.put(
                     miss_keys[pos], result, spec=miss_specs[pos].to_json_dict()
                 )
             if store is not None:
                 store.discard(miss_keys[pos])  # succeeded: no longer dead
-            for index in targets[pos]:
-                results[index] = result
+            assign(pos, result)
 
-        failures = self._execute_supervised(miss_specs, miss_keys, checkpoint)
-
-        if store is not None:
-            for letter in failures:
-                store.record(
-                    letter.key,
-                    letter.spec.to_json_dict(),
-                    letter.attempts,
-                    letter.error,
-                    letter.diagnosis,
-                )
+        failures: List[DeadLetter] = []
+        if miss_specs and self.broker is not None:
+            # the broker already published every result and recorded
+            # every quarantine: only collect them
+            failures = self._run_fabric(miss_specs, miss_keys, assign)
+        elif miss_specs:
+            failures = self._run_local(miss_specs, miss_keys, checkpoint)
+            if store is not None:
+                for letter in failures:
+                    store.record(
+                        letter.key,
+                        letter.spec.to_json_dict(),
+                        letter.attempts,
+                        letter.error,
+                        letter.diagnosis,
+                    )
 
         self.misses += len(miss_specs)
         self.hits += len(spec_list) - len(miss_specs) - skipped_indices
@@ -700,26 +730,11 @@ class SweepRunner:
 
     # -- supervised execution --------------------------------------------------------
 
-    def _execute_supervised(
-        self,
-        specs: List[RunSpec],
-        keys: List[str],
-        checkpoint: Callable[[int, RunResult], None],
-    ) -> List[DeadLetter]:
-        """Run every spec (at-most-once success each), return quarantines."""
-        if not specs:
-            return []
-        if self.broker is not None:
-            return self._run_fabric(specs, keys, checkpoint)
-        if self.jobs == 1 or len(specs) <= 1:
-            return self._run_serial(list(range(len(specs))), specs, keys, checkpoint)
-        return self._run_pool(specs, keys, checkpoint)
-
     def _run_fabric(
         self,
         specs: List[RunSpec],
         keys: List[str],
-        checkpoint: Callable[[int, RunResult], None],
+        assign: Callable[[int, RunResult], None],
     ) -> List[DeadLetter]:
         """Drain the batch through the work broker (distributed mode).
 
@@ -732,7 +747,8 @@ class SweepRunner:
         results are collected from the shared cache as their journal
         records reach ``done``, so it doesn't matter *who* executed a
         spec.  Specs the broker quarantines come back as dead letters,
-        exactly like local-mode failures.
+        exactly like local-mode failures.  Publishing and quarantine
+        records are the broker's job, so ``assign`` only places results.
         """
         from repro.fabric.worker import Worker
 
@@ -756,7 +772,7 @@ class SweepRunner:
                     if known is not None:
                         # quarantined by a pre-fabric run: surface it
                         failures.append(
-                            self._dead_letter(
+                            DeadLetter(
                                 specs[pos],
                                 key,
                                 int(known.get("attempts", 0)),
@@ -770,18 +786,18 @@ class SweepRunner:
                         broker.submit([specs[pos]])
                     continue
                 if record.state == "done":
-                    result = self.cache.get(key)
+                    result = broker.cache.get(key)
                     if result is None:
                         # journal says done but the cache entry is gone
                         # (e.g. quarantined as corrupt): re-run the spec
                         broker.resubmit(key)
                         continue
-                    checkpoint(pos, result)
+                    assign(pos, result)
                     del unresolved[key]
                     resolved_any = True
                 elif record.state == "dead":
                     failures.append(
-                        self._dead_letter(
+                        DeadLetter(
                             specs[pos],
                             key,
                             record.attempts,
@@ -798,49 +814,6 @@ class SweepRunner:
             time.sleep(worker.poll_interval_s)  # others hold the leases
         return failures
 
-    def _dead_letter(
-        self, spec: RunSpec, key: str, attempts: int, error: str, diagnosis: str = ""
-    ) -> DeadLetter:
-        return DeadLetter(
-            spec=spec, key=key, attempts=attempts, error=error, diagnosis=diagnosis
-        )
-
-    def _run_serial(
-        self,
-        positions: List[int],
-        specs: List[RunSpec],
-        keys: List[str],
-        checkpoint: Callable[[int, RunResult], None],
-        attempts: Optional[Dict[int, int]] = None,
-    ) -> List[DeadLetter]:
-        """In-process execution with retries (also the degraded path)."""
-        attempts = attempts if attempts is not None else {}
-        failures: List[DeadLetter] = []
-        for pos in positions:
-            while True:
-                attempts[pos] = attempts.get(pos, 0) + 1
-                try:
-                    result = supervised_call(
-                        self.execute, specs[pos], self.spec_timeout
-                    )
-                except Exception as exc:
-                    if attempts[pos] > self.retries:
-                        failures.append(
-                            self._dead_letter(
-                                specs[pos],
-                                keys[pos],
-                                attempts[pos],
-                                f"{type(exc).__name__}: {exc}",
-                                _diagnose(exc),
-                            )
-                        )
-                        break
-                    time.sleep(_backoff_delay(attempts[pos]))
-                    continue
-                checkpoint(pos, result)
-                break
-        return failures
-
     def _new_pool(self, width: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=min(self.jobs, width),
@@ -848,177 +821,114 @@ class SweepRunner:
             initargs=(list(sys.path),),
         )
 
-    def _submit(
-        self,
-        pool: ProcessPoolExecutor,
-        specs: List[RunSpec],
-        pos: int,
-        inflight: Dict[Future, int],
-        started: Dict[Future, float],
-        attempts: Dict[int, int],
-    ) -> None:
-        attempts[pos] = attempts.get(pos, 0) + 1
-        future = pool.submit(
-            supervised_call, self.execute, specs[pos], self.spec_timeout
-        )
-        inflight[future] = pos
-        started[future] = time.monotonic()
-
-    def _run_pool(
+    def _run_local(
         self,
         specs: List[RunSpec],
         keys: List[str],
         checkpoint: Callable[[int, RunResult], None],
     ) -> List[DeadLetter]:
-        """submit/as-completed dispatch with retry, timeout, and respawn."""
-        failures: List[DeadLetter] = []
+        """Run every spec (at-most-once success each), return quarantines.
+
+        One dispatch loop for both executors: a process pool gets every
+        runnable spec in flight, the in-process executor (``jobs=1`` and
+        one-spec batches) one at a time.  A failed attempt parks on
+        capped exponential backoff, or is quarantined once out of
+        budget.  A broken pool costs every spec it had in flight one
+        attempt (an innocent bystander of a crashing neighbour succeeds
+        on its retry) and is respawned; after :data:`MAX_POOL_RESPAWNS`
+        respawns the loop swaps to the in-process executor and finishes
+        serially.  Quarantines come back in batch order.
+        """
+        failures: Dict[int, DeadLetter] = {}
         attempts: Dict[int, int] = {}
         timed_out: Set[int] = set()
-        #: (due_monotonic, pos) retries parked for their backoff delay.
-        backoff: "deque[Tuple[float, int]]" = deque()
+        ready = deque(range(len(specs)))
+        #: heap of (due_monotonic, pos): retries parked for their backoff.
+        backoff: List[Tuple[float, int]] = []
+        #: future -> (pos, monotonic submit time).
+        inflight: Dict[Future, Tuple[int, float]] = {}
         respawns = 0
-        pool = self._new_pool(len(specs))
-        inflight: Dict[Future, int] = {}
-        started: Dict[Future, float] = {}
+        pooled = self.jobs > 1 and len(specs) > 1
+        executor = self._new_pool(len(specs)) if pooled else _InProcessExecutor()
 
-        def recover(broken_pool: ProcessPoolExecutor, first_pos: int):
-            """Pool died: quarantine/respawn, or degrade to serial.
-
-            Returns the fresh pool, or ``None`` once respawns are
-            exhausted — the remaining specs then finish in-process and
-            their outcomes are already folded into ``failures``.
-            """
-            nonlocal respawns
-            survivors = self._absorb_pool_break(
-                sorted({first_pos, *inflight.values()}),
-                specs,
-                keys,
-                attempts,
-                timed_out,
-                failures,
-            )
-            inflight.clear()
-            started.clear()
-            respawns += 1
-            broken_pool.shutdown(wait=False, cancel_futures=True)
-            remaining = survivors + sorted(pos for _due, pos in backoff)
-            backoff.clear()
-            if respawns > self.max_pool_respawns:
-                # workers keep dying: finish in-process, serially
-                failures.extend(
-                    self._run_serial(remaining, specs, keys, checkpoint, attempts)
+        def settle(pos: int, error: str, diagnosis: str = "") -> None:
+            """A failed attempt: park it for a retry, or quarantine it."""
+            if attempts[pos] > self.retries:
+                failures[pos] = DeadLetter(
+                    specs[pos], keys[pos], attempts[pos], error, diagnosis
                 )
-                return None
-            fresh = self._new_pool(len(specs))
-            for retry_pos in remaining:
-                self._submit(fresh, specs, retry_pos, inflight, started, attempts)
-            return fresh
+            else:
+                due = time.monotonic() + _backoff_delay(attempts[pos])
+                heapq.heappush(backoff, (due, pos))
 
         try:
-            for pos in range(len(specs)):
-                self._submit(pool, specs, pos, inflight, started, attempts)
-            while inflight or backoff:
-                now = time.monotonic()
-                pool_broken = False
-                while backoff and backoff[0][0] <= now:
-                    _due, pos = backoff.popleft()
+            while ready or backoff or inflight:
+                while backoff and backoff[0][0] <= time.monotonic():
+                    ready.append(heapq.heappop(backoff)[1])
+                lost: List[int] = []
+                broken = False
+                while ready and (pooled or not inflight):
+                    pos = ready.popleft()
                     try:
-                        self._submit(pool, specs, pos, inflight, started, attempts)
+                        future = executor.submit(
+                            supervised_call, self.execute, specs[pos], self.spec_timeout
+                        )
                     except BrokenProcessPool:
-                        attempts[pos] -= 1  # this attempt never started
-                        pool = recover(pool, pos)
-                        pool_broken = True
+                        ready.appendleft(pos)  # this attempt never started
+                        broken = True
                         break
-                if pool_broken:
-                    if pool is None:
-                        return failures
-                    continue
-                if not inflight:  # everything is parked on backoff
-                    time.sleep(max(0.0, backoff[0][0] - time.monotonic()))
-                    continue
-                tick = 0.1 if (self.spec_timeout is not None or backoff) else None
-                done, _running = wait(
-                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    pos = inflight.pop(future)
-                    started.pop(future, None)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        pool = recover(pool, pos)
-                        if pool is None:
-                            return failures
-                        break  # other done futures belong to the dead pool
-                    except Exception as exc:
-                        if attempts[pos] > self.retries:
-                            failures.append(
-                                self._dead_letter(
-                                    specs[pos],
-                                    keys[pos],
-                                    attempts[pos],
-                                    f"{type(exc).__name__}: {exc}",
-                                    _diagnose(exc),
-                                )
-                            )
+                    attempts[pos] = attempts.get(pos, 0) + 1
+                    inflight[future] = (pos, time.monotonic())
+                if not broken:
+                    if not inflight:  # everything is parked on backoff
+                        time.sleep(max(0.0, backoff[0][0] - time.monotonic()))
+                        continue
+                    tick = 0.1 if (self.spec_timeout is not None or backoff) else None
+                    done, _running = wait(
+                        inflight, timeout=tick, return_when=FIRST_COMPLETED
+                    )
+                    for future in done:
+                        pos, _begun = inflight.pop(future)
+                        try:
+                            result = future.result()
+                        except BrokenProcessPool:
+                            lost.append(pos)
+                        except Exception as exc:
+                            settle(pos, f"{type(exc).__name__}: {exc}", _diagnose(exc))
                         else:
-                            backoff.append(
-                                (
-                                    time.monotonic()
-                                    + _backoff_delay(attempts[pos]),
-                                    pos,
-                                )
-                            )
-                    else:
-                        checkpoint(pos, result)
-                if not pool_broken and self.spec_timeout is not None:
-                    self._reap_overdue(pool, inflight, started, timed_out)
-            pool.shutdown()
-            return failures
+                            checkpoint(pos, result)
+                if broken or lost:
+                    # every attempt the dead pool held died with it
+                    lost += [pos for pos, _begun in inflight.values()]
+                    inflight.clear()
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    for pos in sorted(lost):
+                        settle(
+                            pos,
+                            "wall-clock timeout: worker unresponsive, "
+                            "terminated by the parent reaper"
+                            if pos in timed_out
+                            else "worker process died (BrokenProcessPool)",
+                        )
+                    respawns += 1
+                    pooled = respawns <= MAX_POOL_RESPAWNS
+                    executor = (
+                        self._new_pool(len(specs)) if pooled else _InProcessExecutor()
+                    )
+                elif self.spec_timeout is not None:
+                    self._reap_overdue(executor, inflight, timed_out)
+            executor.shutdown()
+            return [failures[pos] for pos in sorted(failures)]
         except BaseException:
             # flush path: completed results are already checkpointed; just
             # stop handing out new work before propagating (Ctrl-C, etc.)
-            pool.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
             raise
-
-    def _absorb_pool_break(
-        self,
-        positions: List[int],
-        specs: List[RunSpec],
-        keys: List[str],
-        attempts: Dict[int, int],
-        timed_out: Set[int],
-        failures: List[DeadLetter],
-    ) -> List[int]:
-        """Split in-flight specs of a dead pool into retries vs quarantine.
-
-        Every in-flight spec's attempt died with the pool; the ones out
-        of budget are dead-lettered, the rest are returned for
-        resubmission (an innocent bystander of a crashing neighbour
-        succeeds on its retry).
-        """
-        survivors: List[int] = []
-        for pos in positions:
-            if attempts.get(pos, 0) > self.retries:
-                cause = (
-                    "wall-clock timeout: worker unresponsive, terminated by "
-                    "the parent reaper"
-                    if pos in timed_out
-                    else "worker process died (BrokenProcessPool)"
-                )
-                failures.append(
-                    self._dead_letter(specs[pos], keys[pos], attempts[pos], cause)
-                )
-            else:
-                survivors.append(pos)
-        return survivors
 
     def _reap_overdue(
         self,
-        pool: ProcessPoolExecutor,
-        inflight: Dict[Future, int],
-        started: Dict[Future, float],
+        executor: object,
+        inflight: Dict[Future, Tuple[int, float]],
         timed_out: Set[int],
     ) -> None:
         """Terminate the pool when a worker blew through every timeout.
@@ -1031,16 +941,11 @@ class SweepRunner:
         assert self.spec_timeout is not None
         budget = self.spec_timeout * ALARM_GRACE + PARENT_REAP_GRACE_S
         now = time.monotonic()
-        overdue = [
-            future
-            for future, begun in started.items()
-            if future in inflight and now - begun > budget
-        ]
+        overdue = [pos for pos, begun in inflight.values() if now - begun > budget]
         if not overdue:
             return
-        for future in overdue:
-            timed_out.add(inflight[future])
-        for process in list(getattr(pool, "_processes", {}).values()):
+        timed_out.update(overdue)
+        for process in list(getattr(executor, "_processes", {}).values()):
             process.terminate()
 
 
@@ -1052,7 +957,6 @@ _default_runner = SweepRunner()
 def configure(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     retries: int = 1,
     spec_timeout: Optional[float] = None,
     strict: bool = True,
@@ -1063,26 +967,29 @@ def configure(
 
     The dead-letter store lives next to the results cache: configuring a
     cache directory makes quarantines persistent (reruns skip them), with
-    ``retry_dead_letter`` forcing a fresh attempt.  With ``broker``, grid
-    misses drain through the distributed fabric
-    (:mod:`repro.fabric`) instead of a local process pool; the cache and
-    quarantine then default to the broker's shared ones.
+    ``retry_dead_letter`` forcing a fresh attempt; no ``cache_dir``
+    means no caching.  With ``broker``, grid misses drain through the
+    distributed fabric (:mod:`repro.fabric`) instead of a local process
+    pool; the cache and quarantine then default to the broker's shared
+    ones, and a broker created here persists ``retries`` as its farm-wide
+    retry budget (an existing ``broker.json`` wins).
     """
     global _default_runner
     broker_obj = None
     if broker is not None:
-        from repro.fabric.broker import WorkBroker
+        from repro.fabric.broker import BrokerConfig, WorkBroker
 
-        broker_obj = WorkBroker(broker, cache_dir=cache_dir)
-        cache = broker_obj.cache if use_cache else None
+        broker_obj = WorkBroker(
+            broker, config=BrokerConfig(retries=retries), cache_dir=cache_dir
+        )
+        cache: Optional[ResultsCache] = broker_obj.cache
         store: Optional[DeadLetterStore] = broker_obj.dead_letters
     else:
-        cache = ResultsCache(cache_dir) if (cache_dir and use_cache) else None
+        cache = ResultsCache(cache_dir) if cache_dir else None
         store = DeadLetterStore(cache.cache_dir) if cache is not None else None
     _default_runner = SweepRunner(
         jobs=jobs,
         cache=cache,
-        use_cache=use_cache,
         retries=retries,
         spec_timeout=spec_timeout,
         strict=strict,

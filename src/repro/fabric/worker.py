@@ -19,7 +19,8 @@ spec at a time:
    watchdog + SIGALRM backstop when a spec timeout is set).
 5. **Publish** the result to the cache *before* journaling ``done`` —
    at every crash point the journal claims no more than the cache can
-   prove.
+   prove.  The heartbeat is stopped and joined before the outcome
+   (``complete``/``fail``) releases the lease.
 
 Failures journal back through the broker (retry with backoff, then
 farm-wide quarantine).  A worker that dies mid-spec needs no cleanup:
@@ -155,6 +156,7 @@ class Worker:
             spec = RunSpec(**record.spec)  # type: ignore[arg-type]
             result = supervised_call(self.execute, spec, self.spec_timeout)
         except Exception as exc:
+            self._stop_heartbeat(heartbeat)
             self.failed += 1
             self.broker.fail(
                 key,
@@ -166,12 +168,19 @@ class Worker:
         else:
             self.broker.cache.put(key, result, spec=record.spec)
             faultpoints.trip("worker.publish.after_cache_put")
+            self._stop_heartbeat(heartbeat)
             self.broker.complete(key, self.worker_id)
             self.completed += 1
             self.current_key = None
         finally:
-            heartbeat.set()
-            self._join_heartbeat()
+            self._stop_heartbeat(heartbeat)  # idempotent; covers interrupts
+
+    def _stop_heartbeat(self, heartbeat: threading.Event) -> None:
+        """Stop and join the beat thread.  Runs before ``complete``/
+        ``fail`` release the lease: a beat landing after the release
+        would find no holder and count a spurious lease loss."""
+        heartbeat.set()
+        self._join_heartbeat()
 
     def _start_heartbeat(self, key: str) -> threading.Event:
         """Renew the lease on ``key`` until the returned event is set.

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigError, SweepExecutionError
+from repro.errors import SweepExecutionError
 from repro.experiments.runner import RunSpec, SweepRunner
 from repro.fabric import faultpoints
 from repro.fabric.broker import BrokerConfig, WorkBroker
@@ -378,7 +378,7 @@ def test_runner_broker_mode_matches_plain_run(tmp_path):
     specs = grid(5)
     broker = make_broker(tmp_path)
     fabric = SweepRunner(broker=broker, execute=fake_result).run(specs)
-    plain = SweepRunner(execute=fake_result, use_cache=False).run(specs)
+    plain = SweepRunner(execute=fake_result).run(specs)
     assert json.dumps([r.to_json_dict() for r in fabric], sort_keys=True) == (
         json.dumps([r.to_json_dict() for r in plain], sort_keys=True)
     )
@@ -425,9 +425,50 @@ def test_runner_broker_mode_collects_results_executed_elsewhere(tmp_path):
     assert runner.hits == 3  # all served from the shared cache
 
 
-def test_runner_broker_mode_rejects_no_cache(tmp_path):
-    with pytest.raises(ConfigError):
-        SweepRunner(broker=make_broker(tmp_path), use_cache=False)
+def test_runner_broker_mode_persists_each_outcome_once(tmp_path, monkeypatch):
+    """The broker publishes every result and records every quarantine;
+    the runner only collects them.  Each of these is an fsync'd write,
+    so a 5-spec grid with one crasher costs 4 puts and 1 record."""
+    from repro.experiments.deadletter import DeadLetterStore
+    from repro.results_cache import ResultsCache
+
+    writes = {"put": 0, "record": 0}
+    real_put, real_record = ResultsCache.put, DeadLetterStore.record
+
+    def counting_put(self, *args, **kwargs):
+        writes["put"] += 1
+        return real_put(self, *args, **kwargs)
+
+    def counting_record(self, *args, **kwargs):
+        writes["record"] += 1
+        return real_record(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResultsCache, "put", counting_put)
+    monkeypatch.setattr(DeadLetterStore, "record", counting_record)
+    broker = make_broker(tmp_path, retries=1, backoff_s=0.001)
+    runner = SweepRunner(broker=broker, execute=crashy_execute, strict=False)
+    results = runner.run(grid(5, bad_at=2))
+    assert sum(result is not None for result in results) == 4
+    assert len(runner.dead_letters) == 1
+    assert writes == {"put": 4, "record": 1}
+
+
+def test_configure_with_broker_persists_the_retry_budget(tmp_path):
+    """A broker created by ``configure`` gets the caller's retry budget,
+    as ``submit``/``work`` give theirs; an existing broker.json wins."""
+    from repro.experiments import runner as runner_module
+
+    previous = runner_module.get_runner()
+    try:
+        fresh = runner_module.configure(retries=0, broker=str(tmp_path / "new"))
+        assert fresh.broker.config.retries == 0
+        make_broker(tmp_path, retries=5)  # tmp_path / "broker"
+        existing = runner_module.configure(
+            retries=0, broker=str(tmp_path / "broker")
+        )
+        assert existing.broker.config.retries == 5
+    finally:
+        runner_module.set_runner(previous)
 
 
 def test_runner_broker_mode_reruns_spec_with_corrupt_cache_entry(tmp_path):
@@ -603,6 +644,31 @@ def test_transient_renew_hiccup_does_not_lose_the_lease(tmp_path):
         broker.leases.renew = real_renew
     assert calls["n"] >= 2  # the beat retried after the hiccup
     assert worker.heartbeat_errors == 1
+    assert worker.leases_lost == 0
+
+
+def test_heartbeat_stops_before_the_outcome_releases_the_lease(tmp_path):
+    """A beat that lands between the lease release in ``complete`` and
+    the heartbeat stop would find no holder and count a spurious lease
+    loss.  Widening that window must not change the outcome."""
+    broker = make_broker(tmp_path, lease_ttl_s=0.3)
+    specs = grid(2, bad_at=1)
+    broker.submit(specs)
+
+    real_release = broker.leases.release
+
+    def slow_release(key, worker):
+        released = real_release(key, worker)
+        time.sleep(0.1)  # several beats long
+        return released
+
+    broker.leases.release = slow_release
+    worker = make_worker(broker, execute=crashy_execute, heartbeat_interval_s=0.02)
+    try:
+        assert worker.step() and worker.step()
+    finally:
+        broker.leases.release = real_release
+    assert worker.completed == 1 and worker.failed == 1
     assert worker.leases_lost == 0
 
 

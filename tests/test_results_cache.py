@@ -131,7 +131,7 @@ def test_spec_rejects_nonsense():
 def test_no_cache_bypasses_reads_and_writes(tmp_path):
     execute = CountingExecute()
     cache = ResultsCache(tmp_path)
-    runner = SweepRunner(cache=cache, use_cache=False, execute=execute)
+    runner = SweepRunner(cache=None, execute=execute)
     runner.run([SPEC, SPEC])
     runner.run([SPEC])
     assert execute.calls == 3  # every spec re-simulates, duplicates included

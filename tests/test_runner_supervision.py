@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.errors import SweepExecutionError
 from repro.experiments.runner import DeadLetter, RunSpec, SweepRunner
 from repro.results_cache import ResultsCache
@@ -158,9 +159,13 @@ def test_transient_failure_retries_until_success(tmp_path):
     assert execute.calls == 3  # two failures + the success
 
 
-def test_exhausted_retries_quarantine_without_aborting(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exhausted_retries_quarantine_without_aborting(tmp_path, jobs):
+    """Exception retries run through the same loop on both executors:
+    in-process (jobs=1) and the process pool (jobs=2)."""
     specs = grid(5, bad_at=2)
     runner = SweepRunner(
+        jobs=jobs,
         cache=ResultsCache(tmp_path),
         execute=crashy_execute,
         retries=1,
@@ -193,7 +198,7 @@ def test_duplicate_failing_specs_quarantine_once(tmp_path):
 
 
 def test_strict_error_reports_retry_counts():
-    runner = SweepRunner(execute=crashy_execute, retries=0, use_cache=False)
+    runner = SweepRunner(execute=crashy_execute, retries=0)
     with pytest.raises(SweepExecutionError) as excinfo:
         runner.run(grid(2, bad_at=0))
     assert "quarantined" in str(excinfo.value)
@@ -203,9 +208,11 @@ def test_strict_error_reports_retry_counts():
 # -- per-spec wall-clock timeouts ----------------------------------------------------
 
 
-def test_timeout_outside_simulator_hits_sigalrm_backstop(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_timeout_outside_simulator_hits_sigalrm_backstop(tmp_path, jobs):
     specs = grid(3, bad_at=1)
     runner = SweepRunner(
+        jobs=jobs,
         cache=ResultsCache(tmp_path),
         execute=sleepy_execute,
         retries=0,
@@ -260,7 +267,9 @@ def test_worker_crash_respawns_pool_and_quarantines_only_the_killer(tmp_path):
         assert cache.get(specs[i].cache_key()) is not None
 
 
-def test_repeated_pool_deaths_degrade_to_serial(tmp_path):
+def test_repeated_pool_deaths_degrade_to_serial(tmp_path, monkeypatch):
+    # the first breakage swaps the loop to the in-process executor
+    monkeypatch.setattr(runner_module, "MAX_POOL_RESPAWNS", 0)
     specs = grid(5, bad_at=2)
     runner = SweepRunner(
         jobs=2,
@@ -268,7 +277,6 @@ def test_repeated_pool_deaths_degrade_to_serial(tmp_path):
         execute=worker_only_killer_execute,
         retries=1,
         strict=False,
-        max_pool_respawns=0,  # first breakage forces the serial fallback
     )
     results = runner.run(specs)
     assert results[2] is None
@@ -285,10 +293,9 @@ def test_fault_free_supervised_run_matches_unsupervised(tmp_path):
     import json
 
     specs = grid(4)
-    plain = SweepRunner(execute=ok_execute, use_cache=False).run(specs)
+    plain = SweepRunner(execute=ok_execute).run(specs)
     supervised = SweepRunner(
         execute=ok_execute,
-        use_cache=False,
         retries=3,
         spec_timeout=60.0,
     ).run(specs)
