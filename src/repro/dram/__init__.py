@@ -1,4 +1,9 @@
-"""Transaction-level DDR4 DRAM model (timing, banks, ranks, modules)."""
+"""Transaction-level DDR4 DRAM model.
+
+Timing presets, the address map, per-bank and per-rank timeline state
+(:class:`Bank`, :class:`Rank`), and :class:`DRAMModule`, which walks each
+request's cache lines over that state in one loop.
+"""
 
 from repro.dram.address import (
     ADDR_BITS,

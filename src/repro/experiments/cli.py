@@ -478,10 +478,6 @@ class _DrainRequested(BaseException):
     """SIGTERM/SIGINT turned into a cooperative drain (BaseException so
     no ``except Exception`` on the execution path can swallow it)."""
 
-    def __init__(self, signum: int) -> None:
-        super().__init__(f"drain requested by signal {signum}")
-        self.signum = signum
-
 
 def _cmd_work(args) -> int:
     """Drain specs from the broker until the queue is empty.
@@ -489,11 +485,12 @@ def _cmd_work(args) -> int:
     SIGTERM/SIGINT drain *gracefully*: the in-flight claim is handed
     straight back to the queue (attempt uncharged, no backoff stamp) so
     another worker picks it up immediately instead of waiting out this
-    worker's lease TTL.
+    worker's lease TTL.  The exit code (143/130) comes from the recorded
+    signal, not from the raise reaching this frame.
     """
     import signal as _signal
 
-    from repro.fabric.worker import Worker
+    from repro.fabric.worker import DRAIN_SIGNALS, Worker, defer_drain_signal
 
     broker = _open_broker(args)
     worker = Worker(broker, spec_timeout=args.spec_timeout)
@@ -501,31 +498,35 @@ def _cmd_work(args) -> int:
     source = getattr(broker, "root", None) or getattr(broker, "address", "?")
     print(f"[work] {worker.worker_id} pulling from {source} ({mode})")
 
+    received = []
+
     def _drain_handler(signum, frame):
+        if defer_drain_signal(signum):
+            return  # redelivered once the worker knows its claim
+        received.append(signum)
         worker.stop()
-        raise _DrainRequested(signum)
+        raise _DrainRequested(f"drain requested by signal {signum}")
 
     previous = {
         signum: _signal.signal(signum, _drain_handler)
-        for signum in (_signal.SIGTERM, _signal.SIGINT)
+        for signum in DRAIN_SIGNALS
     }
     try:
-        worker.run(drain=not args.forever)
-    except _DrainRequested as drain:
-        relinquished = worker.relinquish_current(
-            reason=f"worker drained by signal {drain.signum}"
-        )
-        print(
-            f"\n[work] drained by signal {drain.signum}: "
-            + ("in-flight claim handed back to the queue"
-               if relinquished else "no claim was in flight")
-        )
-        print(
-            f"[work] done: completed={worker.completed} "
-            f"failed={worker.failed} cache_served={worker.cache_served} "
-            f"leases_lost={worker.leases_lost}"
-        )
-        return 130 if drain.signum == _signal.SIGINT else 143
+        try:
+            worker.run(drain=not args.forever)
+        except _DrainRequested:
+            pass
+        if received:
+            # reported even when simulator code swallowed the raise:
+            # ``stop()`` had already ended the loop after that spec
+            relinquished = worker.relinquish_current(
+                reason=f"worker drained by signal {received[0]}"
+            )
+            print(
+                f"\n[work] drained by signal {received[0]}: "
+                + ("in-flight claim handed back to the queue"
+                   if relinquished else "no claim was in flight")
+            )
     finally:
         for signum, handler in previous.items():
             _signal.signal(signum, handler)
@@ -533,7 +534,9 @@ def _cmd_work(args) -> int:
         f"[work] done: completed={worker.completed} failed={worker.failed} "
         f"cache_served={worker.cache_served} leases_lost={worker.leases_lost}"
     )
-    return 0
+    if not received:
+        return 0
+    return 130 if received[0] == _signal.SIGINT else 143
 
 
 def _cmd_serve(args) -> int:

@@ -30,10 +30,12 @@ its lease expires and any claimer reclaims the spec.
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import threading
 import uuid
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 from repro.experiments.runner import (
     RunSpec,
@@ -45,6 +47,47 @@ from repro.fabric import faultpoints
 from repro.fabric.broker import WorkBroker
 from repro.fabric.journal import SpecRecord
 from repro.nmp.results import RunResult
+
+
+#: signals a ``work`` process turns into a graceful drain.
+DRAIN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+@contextmanager
+def _drain_signals_blocked() -> Iterator[None]:
+    """Hold :data:`DRAIN_SIGNALS` pending in this thread for the block.
+
+    A signal that arrives meanwhile is delivered when the block exits, so
+    its handler sees the state the block finished setting up.  Handlers
+    call :func:`defer_drain_signal` first, for signals that reach them
+    through another thread.
+    """
+    if not hasattr(signal, "pthread_sigmask"):  # pragma: no cover - non-POSIX
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, DRAIN_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def defer_drain_signal(signum: int) -> bool:
+    """Re-queue ``signum`` if this thread has it blocked; ``True`` if so.
+
+    The kernel delivers a process-directed signal through any thread that
+    does not block it (native pool threads, e.g. BLAS workers, never do),
+    and Python then runs the handler on the main thread even while that
+    thread is inside :func:`_drain_signals_blocked`.  A handler that sees
+    its signal blocked sends it to its own thread instead, where it stays
+    pending until the block exits.
+    """
+    if not hasattr(signal, "pthread_sigmask"):  # pragma: no cover - non-POSIX
+        return False
+    if signum not in signal.pthread_sigmask(signal.SIG_BLOCK, ()):
+        return False
+    signal.pthread_kill(threading.get_ident(), signum)
+    return True
 
 
 def default_worker_id() -> str:
@@ -109,8 +152,16 @@ class Worker:
     # -- the loop --------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Claim and execute at most one spec; ``False`` if none runnable."""
-        record = self.broker.claim(self.worker_id)
+        """Claim and execute at most one spec; ``False`` if none runnable.
+
+        SIGTERM/SIGINT stay blocked from before the claim until
+        :attr:`current_key` names it: a drain handler never runs between
+        the lease being written and the worker knowing what to hand back.
+        """
+        with _drain_signals_blocked():
+            record = self.broker.claim(self.worker_id)
+            if record is not None:
+                self.current_key = record.key
         if record is None:
             return False
         self.claimed += 1
@@ -144,7 +195,6 @@ class Worker:
 
     def _execute_claimed(self, record: SpecRecord) -> None:
         key = record.key
-        self.current_key = key
         if self.broker.cache.get(key) is not None:
             # exactly-once shortcut: someone already published this result
             self.broker.complete(key, self.worker_id)

@@ -485,6 +485,82 @@ def test_work_sigterm_drains_gracefully_and_releases_claim(tmp_path):
         assert broker.claim("successor") is not None  # no TTL wait
 
 
+def _two_spec_farm(tmp_path):
+    from repro.experiments.runner import RunSpec
+    from repro.fabric.broker import WorkBroker
+
+    broker_dir = str(tmp_path / "farm")
+    broker = WorkBroker(broker_dir)
+    broker.submit([
+        RunSpec(config="4D-2C", workload="kmeans", size="tiny", seed=seed)
+        for seed in range(2)
+    ])
+    return broker_dir, broker
+
+
+def test_work_sigterm_inside_claim_hands_the_claim_back(
+    tmp_path, capsys, monkeypatch
+):
+    """A SIGTERM that lands inside ``broker.claim`` after the lease is
+    written is held until the worker knows its claim, so the drain
+    hands that claim back instead of leaving the lease to expire."""
+    import os
+    import signal
+
+    from repro.fabric.broker import WorkBroker
+
+    broker_dir, broker = _two_spec_farm(tmp_path)
+    real_claim = WorkBroker.claim
+
+    def claim_then_sigterm(self, worker_id):
+        record = real_claim(self, worker_id)
+        assert self.leases.live_count() == 1  # the lease is on disk
+        os.kill(os.getpid(), signal.SIGTERM)
+        return record
+
+    monkeypatch.setattr(WorkBroker, "claim", claim_then_sigterm)
+    assert main(["work", "--broker", broker_dir]) == 143
+    out = capsys.readouterr().out
+    assert "drained by signal 15: in-flight claim handed back" in out
+    assert broker.leases.live_count() == 0
+    counts = broker.counts()
+    assert counts["pending"] == 2 and counts["leased"] == 0
+    assert all(r.attempts == 0 for r in broker.records().values())
+
+
+def test_work_sigterm_swallowed_inside_the_spec_still_exits_143(
+    tmp_path, capsys, monkeypatch
+):
+    """Simulator code that drops the drain raise cannot turn a SIGTERM
+    into a clean exit: the signal is recorded and the exit code is 143
+    once the loop stops after that spec."""
+    import os
+    import signal
+    import time
+
+    import repro.fabric.worker as worker_mod
+
+    broker_dir, broker = _two_spec_farm(tmp_path)
+    real_call = worker_mod.supervised_call
+
+    def swallowing_call(execute, spec, timeout):
+        try:
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(5.0)  # the handler's raise lands here ...
+        except BaseException:
+            pass  # ... and is dropped
+        return real_call(execute, spec, timeout)
+
+    monkeypatch.setattr(worker_mod, "supervised_call", swallowing_call)
+    assert main(["work", "--broker", broker_dir]) == 143
+    out = capsys.readouterr().out
+    assert "drained by signal 15" in out
+    assert "completed=1" in out
+    assert broker.leases.live_count() == 0
+    counts = broker.counts()
+    assert (counts["done"], counts["pending"], counts["leased"]) == (1, 1, 0)
+
+
 def test_submit_streams_progress_through_tcp_service(tmp_path, capsys, monkeypatch):
     """`submit` pointed at a tcp:// endpoint rides the service protocol:
     structured submit report, live progress events, exit 0 on drain."""

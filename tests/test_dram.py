@@ -186,6 +186,14 @@ def test_zero_size_request_rejected():
         dram.access(0, 0, False)
 
 
+@pytest.mark.parametrize("nbytes", [64, 8192])
+def test_negative_offset_rejected_on_line_and_bulk_paths(nbytes):
+    _, stats, dram = _module()
+    with pytest.raises(ConfigError, match="negative address offset"):
+        dram.access(-64, nbytes, False)
+    assert stats.counters() == {}
+
+
 def test_tfaw_limits_activate_bursts():
     """Five activates to distinct banks of one rank must respect tFAW."""
     sim, _, dram = _module(ranks=1)

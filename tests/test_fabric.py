@@ -715,7 +715,7 @@ def test_worker_relinquish_current_hands_back_in_flight_claim(tmp_path):
     broker.submit([spec])
     worker = make_worker(broker)
     record = broker.claim(worker.worker_id)
-    worker.current_key = record.key  # as _execute_claimed would set
+    worker.current_key = record.key  # as step() would set
 
     assert worker.relinquish_current(reason="drained by signal 15") is True
     assert worker.current_key is None
