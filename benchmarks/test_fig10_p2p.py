@@ -3,9 +3,8 @@
 from repro.experiments import fig10_p2p
 
 
-def test_fig10_grid(once):
-    rows = once(
-        fig10_p2p.run,
+def test_fig10_grid():
+    rows = fig10_p2p.run(
         size="tiny",
         config_names=("4D-2C", "16D-8C"),
         workload_names=("pagerank", "hotspot"),

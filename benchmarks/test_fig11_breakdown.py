@@ -3,8 +3,8 @@
 from repro.experiments import fig11_breakdown
 
 
-def test_fig11_breakdown(once):
-    rows = once(fig11_breakdown.run, size="tiny", workload_names=("pagerank", "hotspot"))
+def test_fig11_breakdown():
+    rows = fig11_breakdown.run(size="tiny", workload_names=("pagerank", "hotspot"))
     for row in rows:
         assert abs(
             row["local_share"] + row["intra_group_share"] + row["forwarded_share"] - 1.0

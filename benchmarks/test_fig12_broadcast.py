@@ -3,9 +3,8 @@
 from repro.experiments import fig12_broadcast
 
 
-def test_fig12_broadcast(once):
-    rows = once(
-        fig12_broadcast.run,
+def test_fig12_broadcast():
+    rows = fig12_broadcast.run(
         size="tiny",
         dpc_configs=(("2DPC", "16D-8C"),),
         workload_names=("spmv_bc", "pagerank_bc"),

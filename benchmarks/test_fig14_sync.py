@@ -3,14 +3,14 @@
 from repro.experiments import fig14_sync
 
 
-def test_fig14_interval_sweep(once):
-    rows = once(fig14_sync.run_intervals, intervals=(500, 2000), barriers=5)
+def test_fig14_interval_sweep():
+    rows = fig14_sync.run_intervals(intervals=(500, 2000), barriers=5)
     for row in rows:
         assert row["DL-Hier"] <= row["MCN"]
     tight = fig14_sync.speedups_at(rows, 500)
     assert tight["MCN"] > 1.0
 
 
-def test_fig14_tspow(once):
-    results = once(fig14_sync.run_tspow, size="tiny")
+def test_fig14_tspow():
+    results = fig14_sync.run_tspow(size="tiny")
     assert results["DL-Hier"] < results["MCN"]

@@ -8,9 +8,8 @@ latency-dominated and the sweep is flat).
 from repro.experiments import fig16_bandwidth
 
 
-def test_fig16_sweep(once):
-    rows = once(
-        fig16_bandwidth.run,
+def test_fig16_sweep():
+    rows = fig16_bandwidth.run(
         size="small",
         bandwidths=(4.0, 64.0),
         config_names=("16D-8C",),

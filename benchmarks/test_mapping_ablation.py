@@ -3,6 +3,6 @@
 from repro.experiments import mapping_ablation
 
 
-def test_mapping_recovery(once):
-    results = once(mapping_ablation.run, size="tiny", workload_names=("pagerank",))
+def test_mapping_recovery():
+    results = mapping_ablation.run(size="tiny", workload_names=("pagerank",))
     assert results["pagerank"]["speedup"] > 1.2

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.protocol.packet import Packet
-from repro.sim.engine import SimEvent, Simulator
+from repro.sim.engine import AnyOf, SimEvent, Simulator
 from repro.sim.resource import SlotResource
 from repro.sim.time import ns
 
@@ -131,8 +131,9 @@ class DataLinkEndpoint:
             ack = self.sim.event(name=f"{self.name}.ack{packet.seq}")
             self._acks[packet.seq] = ack
             self.tx_channel.send(wire)
-            timeout = self.sim.timeout(self.ack_timeout_ps, value="timeout")
-            result = yield _first_of(self.sim, ack, timeout)
+            result = yield AnyOf(
+                [ack, self.sim.timeout(self.ack_timeout_ps, value="timeout")]
+            )
             if result != "timeout":
                 break
             if attempts > self.max_retries:
@@ -174,19 +175,6 @@ class DataLinkEndpoint:
         self.received.append(packet)
         if self._deliver is not None:
             self._deliver(packet)
-
-
-def _first_of(sim: Simulator, *events: SimEvent) -> SimEvent:
-    """An event firing with the value of whichever child fires first."""
-    first = sim.event(name="first_of")
-
-    def on_fire(ev: SimEvent) -> None:
-        if not first.triggered:
-            first.succeed(ev.value)
-
-    for event in events:
-        event.add_callback(on_fire)
-    return first
 
 
 def make_link_pair(

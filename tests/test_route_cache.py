@@ -77,6 +77,66 @@ def test_returned_path_and_tree_are_private_copies():
     assert topo.broadcast_tree(0) == expected_tree
 
 
+class _Forbidden:
+    """Stands in for a routing input that a cache hit must never touch."""
+
+    def __init__(self, what):
+        self.what = what
+
+    def __call__(self, *args):
+        raise AssertionError(f"{self.what} consulted: lookup was recomputed")
+
+    __getitem__ = __call__
+
+
+def _forbid_recompute(patch, topo):
+    # path() walks next_hop on a miss; broadcast_tree() walks _adjacency
+    patch.setattr(topo, "next_hop", _Forbidden("next_hop"))
+    patch.setattr(topo, "_adjacency", _Forbidden("_adjacency"))
+
+
+def _assert_served_from_cache(topo, paths, trees):
+    for (a, b), expected in paths.items():
+        first, second = topo.path(a, b), topo.path(a, b)
+        assert first == second == expected
+        assert first is not second
+    for root, expected in trees.items():
+        first, second = topo.broadcast_tree(root), topo.broadcast_tree(root)
+        assert first == second == expected
+        assert first is not second
+
+
+def test_path_and_tree_lookups_are_memoised_until_a_link_flip(monkeypatch):
+    """Repeat lookups never recompute; a link-state flip drops both caches
+    and the rebuilt answers are memoised again."""
+    topo = Topology("mesh", 16)
+    pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
+    paths = {pair: topo.path(*pair) for pair in pairs}
+    trees = {root: topo.broadcast_tree(root) for root in range(16)}
+    with monkeypatch.context() as patch:
+        _forbid_recompute(patch, topo)
+        _assert_served_from_cache(topo, paths, trees)
+
+    recomputes = topo.route_recomputes
+    assert topo.set_link_state(0, 1, False)
+    assert topo.route_recomputes == recomputes + 1
+    with monkeypatch.context() as patch:
+        _forbid_recompute(patch, topo)
+        with pytest.raises(AssertionError, match="next_hop"):
+            topo.path(0, 1)
+        with pytest.raises(AssertionError, match="_adjacency"):
+            topo.broadcast_tree(0)
+
+    cold = cold_topology("mesh", 16, [(0, 1)])
+    paths = {pair: topo.path(*pair) for pair in pairs}
+    trees = {root: topo.broadcast_tree(root) for root in range(16)}
+    assert paths == {pair: cold.path(*pair) for pair in pairs}
+    assert trees == {root: cold.broadcast_tree(root) for root in range(16)}
+    assert paths[(0, 1)] == [0, 4, 5, 1]
+    with monkeypatch.context() as patch:
+        _forbid_recompute(patch, topo)
+        _assert_served_from_cache(topo, paths, trees)
+
 def test_hops_uses_distance_table_and_errors_on_partition():
     topo = Topology("half_ring", 4)  # chain 0-1-2-3
     assert topo.hops(0, 3) == 3
