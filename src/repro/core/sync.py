@@ -19,7 +19,7 @@ DIMM-Link (DL packets) faithfully.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError, SimulationError
@@ -50,6 +50,12 @@ class _Generation:
         self.arrived_threads = 0
         self.group_arrivals: Counter = Counter()
         self.released = False
+
+
+#: an arrival in flight: (generation state, the thread's home DIMM).
+Arrival = Tuple[_Generation, int]
+#: a release in flight: (generation state, DIMM or group, releasing DIMM).
+Release = Tuple[_Generation, int, int]
 
 
 class SyncManager:
@@ -105,12 +111,13 @@ class SyncManager:
         home = self._thread_homes[thread_id]
         event = self.sim.event(name=f"barrier.g{generation}.t{thread_id}")
         state.waiters[home].append(event)
-        self.sim.process(
-            self._arrival(state, generation, home), name=f"sync.arrive.{thread_id}"
-        )
+        self.sim.defer(self._arrive, (state, home))
         return event
 
-    # -- arrival paths ------------------------------------------------------------
+    # Arrivals and releases run as callback chains that push what a
+    # process per arrival or release would (see the repro.sim.engine
+    # docstring): ``arrival`` is ``(generation state, home DIMM)`` and
+    # ``release`` is ``(generation state, target, via)``.
 
     def _master_core(self, dimm: int) -> BandwidthResource:
         """The serializing master core of a DIMM (SynCron-style)."""
@@ -122,89 +129,135 @@ class SyncManager:
             self._master_cores[dimm] = core
         return core
 
-    def _arrival(self, state: _Generation, generation: int, home: int):
-        yield LOCAL_SYNC_PS  # report to the DIMM's master core
+    # -- arrival paths ------------------------------------------------------------
+
+    def _arrive(self, arrival: Arrival) -> None:
+        # report to the DIMM's master core
         if self.mode == "central":
-            yield from self._central_arrival(state, generation, home)
+            self.sim.schedule(LOCAL_SYNC_PS, self._central_arrival, arrival)
         else:
-            yield from self._hier_arrival(state, generation, home)
+            self.sim.schedule(LOCAL_SYNC_PS, self._hier_arrival, arrival)
 
-    def _central_arrival(self, state: _Generation, generation: int, home: int):
-        if home != self.global_master:
-            self.stats.add("sync.messages")
-            yield self.idc.message(home, self.global_master, SYNC_MSG_BYTES)
-        # the master core handles every arrival serially
-        yield self._master_core(self.global_master).occupy(MASTER_PROC_PS)
-        state.arrived_threads += 1
-        if state.arrived_threads == self.total_threads:
-            self._release_central(state, generation)
+    def _central_arrival(self, arrival: Arrival) -> None:
+        home = arrival[1]
+        if home == self.global_master:
+            self._global_master_handles(arrival)
+            return
+        self.stats.add("sync.messages")
+        sent = self.idc.message(home, self.global_master, SYNC_MSG_BYTES)
+        self.sim.then(sent, self._global_master_handles, arrival)
 
-    def _hier_arrival(self, state: _Generation, generation: int, home: int):
+    def _hier_arrival(self, arrival: Arrival) -> None:
+        state, home = arrival
         state.dimm_arrivals[home] += 1
         if state.dimm_arrivals[home] != self._threads_per_dimm[home]:
             return
         # last thread of this DIMM: notify the group master
+        group_master = self.config.master_dimm(self.config.group_of(home))
+        if home == group_master:
+            self._group_master_handles(arrival)
+            return
+        self.stats.add("sync.messages")
+        sent = self.idc.message(home, group_master, SYNC_MSG_BYTES)
+        self.sim.then(sent, self._group_master_handles, arrival)
+
+    def _group_master_handles(self, arrival: Arrival) -> None:
+        group_master = self.config.master_dimm(self.config.group_of(arrival[1]))
+        self._master_core(group_master).occupy_then(
+            MASTER_PROC_PS, self._group_arrival, arrival
+        )
+
+    def _group_arrival(self, arrival: Arrival) -> None:
+        state, home = arrival
         group = self.config.group_of(home)
-        group_master = self.config.master_dimm(group)
-        if home != group_master:
-            self.stats.add("sync.messages")
-            yield self.idc.message(home, group_master, SYNC_MSG_BYTES)
-        yield self._master_core(group_master).occupy(MASTER_PROC_PS)
         state.group_arrivals[group] += 1
         if state.group_arrivals[group] != self._dimms_per_group[group]:
             return
         # last DIMM of the group: notify the global master
-        if group_master != self.global_master:
-            self.stats.add("sync.messages")
-            self.stats.add("sync.inter_group_messages")
-            yield self.idc.message(group_master, self.global_master, SYNC_MSG_BYTES)
-            yield self._master_core(self.global_master).occupy(MASTER_PROC_PS)
-        state.arrived_threads += 1  # counts completed groups in hier mode
-        if state.arrived_threads == len(self._dimms_per_group):
-            self._release_hier(state, generation)
+        group_master = self.config.master_dimm(group)
+        if group_master == self.global_master:
+            self._global_arrival(arrival)
+            return
+        self.stats.add("sync.messages")
+        self.stats.add("sync.inter_group_messages")
+        sent = self.idc.message(group_master, self.global_master, SYNC_MSG_BYTES)
+        self.sim.then(sent, self._global_master_handles, arrival)
+
+    def _global_master_handles(self, arrival: Arrival) -> None:
+        # the master core handles every arrival serially
+        self._master_core(self.global_master).occupy_then(
+            MASTER_PROC_PS, self._global_arrival, arrival
+        )
+
+    def _global_arrival(self, arrival: Arrival) -> None:
+        """One arrival reached the global master: a thread in central
+        mode, a whole group in hierarchical mode."""
+        state = arrival[0]
+        state.arrived_threads += 1
+        if self.mode == "central":
+            if state.arrived_threads == self.total_threads:
+                self._release_central(state)
+        elif state.arrived_threads == len(self._dimms_per_group):
+            self._release_hier(state)
 
     # -- release paths --------------------------------------------------------------
 
-    def _release_central(self, state: _Generation, generation: int) -> None:
+    def _release_central(self, state: _Generation) -> None:
         state.released = True
         self.stats.add("sync.barriers")
         for dimm in state.waiters:
-            self.sim.process(
-                self._release_dimm(state, dimm, via=self.global_master),
-                name=f"sync.release.g{generation}.d{dimm}",
-            )
+            self.sim.defer(self._release_dimm, (state, dimm, self.global_master))
 
-    def _release_hier(self, state: _Generation, generation: int) -> None:
+    def _release_hier(self, state: _Generation) -> None:
         state.released = True
         self.stats.add("sync.barriers")
         for group, _count in self._dimms_per_group.items():
-            self.sim.process(
-                self._release_group(state, group),
-                name=f"sync.release.g{generation}.grp{group}",
-            )
+            group_master = self.config.master_dimm(group)
+            self.sim.defer(self._release_group, (state, group, group_master))
 
-    def _release_group(self, state: _Generation, group: int):
-        group_master = self.config.master_dimm(group)
-        if group_master != self.global_master:
-            self.stats.add("sync.messages")
-            self.stats.add("sync.inter_group_messages")
-            yield self._master_core(self.global_master).occupy(MASTER_PROC_PS)
-            # the host just forwarded the arrival, so it expects the release
-            yield self.idc.message(
-                self.global_master, group_master, SYNC_MSG_BYTES, expected=True
-            )
+    def _release_group(self, release: Release) -> None:
+        group_master = release[2]
+        if group_master == self.global_master:
+            self._release_group_dimms(release)
+            return
+        self.stats.add("sync.messages")
+        self.stats.add("sync.inter_group_messages")
+        self._master_core(self.global_master).occupy_then(
+            MASTER_PROC_PS, self._release_group_master, release
+        )
+
+    def _release_group_master(self, release: Release) -> None:
+        # the host just forwarded the arrival, so it expects the release
+        sent = self.idc.message(
+            self.global_master, release[2], SYNC_MSG_BYTES, expected=True
+        )
+        self.sim.then(sent, self._release_group_dimms, release)
+
+    def _release_group_dimms(self, release: Release) -> None:
+        state, group, group_master = release
         for dimm in state.waiters:
             if self.config.group_of(dimm) == group:
-                self.sim.process(
-                    self._release_dimm(state, dimm, via=group_master),
-                    name=f"sync.release.d{dimm}",
-                )
+                self.sim.defer(self._release_dimm, (state, dimm, group_master))
 
-    def _release_dimm(self, state: _Generation, dimm: int, via: int):
-        if dimm != via:
-            self.stats.add("sync.messages")
-            yield self._master_core(via).occupy(MASTER_PROC_PS)
-            yield self.idc.message(via, dimm, SYNC_MSG_BYTES, expected=True)
-        yield LOCAL_SYNC_PS  # master core releases local threads
+    def _release_dimm(self, release: Release) -> None:
+        dimm, via = release[1], release[2]
+        if dimm == via:
+            self._release_local(release)
+            return
+        self.stats.add("sync.messages")
+        self._master_core(via).occupy_then(
+            MASTER_PROC_PS, self._release_dimm_message, release
+        )
+
+    def _release_dimm_message(self, release: Release) -> None:
+        sent = self.idc.message(release[2], release[1], SYNC_MSG_BYTES, expected=True)
+        self.sim.then(sent, self._release_local, release)
+
+    def _release_local(self, release: Release) -> None:
+        # the master core releases the DIMM's local threads
+        self.sim.schedule(LOCAL_SYNC_PS, self._release_threads, release)
+
+    def _release_threads(self, release: Release) -> None:
+        state, dimm = release[0], release[1]
         for event in state.waiters[dimm]:
             event.succeed(None)

@@ -9,9 +9,13 @@ hits/misses/conflicts, activates and bytes in locals, and flushes each
 non-zero count to the stats registry once per request.  Requests of at
 least :data:`BULK_THRESHOLD` bytes take the rank streaming fast path so
 multi-megabyte transfers (Fig. 1's bulk sweep) stay cheap to simulate.
+:meth:`DRAMModule.access` (an event) and :meth:`DRAMModule.access_then`
+(a continuation, for callback chains) both book through it.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from repro.dram.address import LINE_BYTES, AddressMap
 from repro.dram.bank import ROW_CONFLICT, ROW_HIT, ROW_MISS, Rank
@@ -43,6 +47,7 @@ class DRAMModule:
         self.stats = stats
         self.address_map = AddressMap.for_timing(ranks, timing)
         self.ranks = [Rank(timing, name=f"{name}.rank{i}", sim=sim) for i in range(ranks)]
+        self._n_access = f"{name}.access"
 
     @property
     def peak_bandwidth_gbps(self) -> float:
@@ -166,10 +171,16 @@ class DRAMModule:
 
     def access(self, offset: int, nbytes: int, is_write: bool) -> SimEvent:
         """Issue a request; the returned event fires at completion."""
-        done = self.completion_time(offset, nbytes, is_write)
-        event = self.sim.event(name=f"{self.name}.access")
-        self.sim.at(done, lambda _arg: event.succeed(nbytes), None)
+        event = SimEvent(self.sim, self._n_access)
+        self.sim.at(self.completion_time(offset, nbytes, is_write), event.succeed, nbytes)
         return event
+
+    def access_then(
+        self, offset: int, nbytes: int, is_write: bool,
+        callback: Callable[[Any], None], arg: Any = None,
+    ) -> None:
+        """:meth:`access`, continuing with ``callback(arg)`` (no event)."""
+        self.sim.then_at(self.completion_time(offset, nbytes, is_write), callback, arg)
 
     def precharge_all(self) -> None:
         """Close all rows (mode switches between HA and NA, Sec. III-E)."""

@@ -180,19 +180,21 @@ class HostCPUSystem:
         self, dimm: int, offset: int, nbytes: int, is_write: bool
     ) -> SimEvent:
         """One host memory access: channel bus + DRAM on the target DIMM."""
-        done = self.sim.event(name="cpu.mem")
-        channel = self.channels[self.config.channel_of(dimm)]
-        dram = self.drams[dimm]
-
-        def proc():
-            # command/data cross the channel; the DRAM access overlaps the
-            # burst, so charge bus occupancy plus the bank completion time.
-            yield channel.transfer(nbytes, kind="data")
-            yield dram.access(offset, nbytes, is_write)
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="cpu.mem")
+        done = SimEvent(self.sim, "cpu.mem")
+        self.sim.defer(self._request_start, (dimm, offset, nbytes, is_write, done))
         return done
+
+    # A request is a callback chain pushing what a process would: command
+    # and data cross the channel, then the DRAM access completes (it
+    # overlaps the burst, so charge bus occupancy plus bank completion).
+
+    def _request_start(self, request: Tuple[int, int, int, bool, SimEvent]) -> None:
+        channel = self.channels[self.config.channel_of(request[0])]
+        channel.transfer_then(request[2], "data", self._request_dram, request)
+
+    def _request_dram(self, request: Tuple[int, int, int, bool, SimEvent]) -> None:
+        dimm, offset, nbytes, is_write, done = request
+        self.drams[dimm].access_then(offset, nbytes, is_write, done.succeed, nbytes)
 
     def run(
         self,

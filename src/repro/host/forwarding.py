@@ -69,49 +69,70 @@ class ForwardController:
         the polling delay — used for response packets the host already
         expects after forwarding the matching request.
         """
-        done = self.sim.event(name="host.fwd")
-        self.sim.process(
-            self._forward_proc(src_dimm, dst_dimm, wire_bytes, notice_dimm, done),
-            name="host.fwd",
+        done = SimEvent(self.sim, "host.fwd")
+        self.sim.defer(
+            self._forward_start,
+            _Forward(src_dimm, dst_dimm, wire_bytes, notice_dimm, done),
         )
         return done
 
-    def _forward_proc(
-        self,
-        src_dimm: int,
-        dst_dimm: int,
-        wire_bytes: int,
-        notice_dimm: Optional[int],
-        done: SimEvent,
-    ):
-        start = self.sim.now
+    # The forward runs as a callback chain making the pushes of a process
+    # that waits for the polling notice, then crosses the source channel,
+    # the forwarding engine and the destination channel in turn.
+
+    def _forward_start(self, fwd: "_Forward") -> None:
+        fwd.start = self.sim.now
         trace = self.sim.trace
-        span = (
-            trace.begin(
-                "host",
-                "forward",
-                "host.fwd",
-                src=src_dimm,
-                dst=dst_dimm,
-                bytes=wire_bytes,
+        if trace.enabled:
+            fwd.span = trace.begin(
+                "host", "forward", "host.fwd",
+                src=fwd.src, dst=fwd.dst, bytes=fwd.wire_bytes,
             )
-            if trace.enabled
-            else None
-        )
-        if notice_dimm != -1:
-            yield self.polling.notice(
-                src_dimm if notice_dimm is None else notice_dimm
+        if fwd.notice_dimm != -1:
+            notice = self.polling.notice(
+                fwd.src if fwd.notice_dimm is None else fwd.notice_dimm
             )
-        src_channel = self.channels[self.config.channel_of(src_dimm)]
-        dst_channel = self.channels[self.config.channel_of(dst_dimm)]
+            self.sim.then(notice, self._forward_read, fwd)
+        else:
+            self._forward_read(fwd)
+
+    def _forward_read(self, fwd: "_Forward") -> None:
         # read the packet from the source DIMM's packet buffer
-        yield src_channel.transfer(wire_bytes, kind="fwd")
+        src_channel = self.channels[self.config.channel_of(fwd.src)]
+        src_channel.transfer_then(fwd.wire_bytes, "fwd", self._forward_copy, fwd)
+
+    def _forward_copy(self, fwd: "_Forward") -> None:
         # the routing-node engine: per-packet cost + copy bandwidth +
         # the fixed GEM5-profiled forward latency (pipelined)
-        yield self.engine.transfer(wire_bytes, extra_ps=self._per_op_ps)
-        yield dst_channel.transfer(wire_bytes, kind="fwd")
+        self.engine.transfer_then(
+            fwd.wire_bytes, self._forward_write, fwd, extra_ps=self._per_op_ps
+        )
+
+    def _forward_write(self, fwd: "_Forward") -> None:
+        dst_channel = self.channels[self.config.channel_of(fwd.dst)]
+        dst_channel.transfer_then(fwd.wire_bytes, "fwd", self._forward_done, fwd)
+
+    def _forward_done(self, fwd: "_Forward") -> None:
         self.stats.add("fwd.ops")
-        self.stats.add("fwd.bytes", wire_bytes)
-        self.stats.histogram("fwd.latency_ns").record((self.sim.now - start) / 1000)
-        trace.end(span)
-        done.succeed(wire_bytes)
+        self.stats.add("fwd.bytes", fwd.wire_bytes)
+        self.stats.histogram("fwd.latency_ns").record((self.sim.now - fwd.start) / 1000)
+        self.sim.trace.end(fwd.span)
+        fwd.done.succeed(fwd.wire_bytes)
+
+
+class _Forward:
+    """One forward in flight through :class:`ForwardController`'s chain."""
+
+    __slots__ = ("src", "dst", "wire_bytes", "notice_dimm", "done", "start", "span")
+
+    def __init__(
+        self, src: int, dst: int, wire_bytes: int, notice_dimm: Optional[int],
+        done: SimEvent,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.wire_bytes = wire_bytes
+        self.notice_dimm = notice_dimm
+        self.done = done
+        self.start = 0
+        self.span = None

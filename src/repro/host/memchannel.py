@@ -10,7 +10,7 @@ whose busy accounting yields the paper's "memory bus occupation" metric
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Callable, List
 
 from repro.config import ChannelConfig
 from repro.sim.engine import SimEvent, Simulator
@@ -46,12 +46,22 @@ class MemoryChannel:
 
     def transfer(self, nbytes: int, kind: str = "data") -> SimEvent:
         """Move ``nbytes`` over the channel (host<->any DIMM on it)."""
+        self._account(nbytes, kind)
+        return self.bus.transfer(nbytes)
+
+    def transfer_then(
+        self, nbytes: int, kind: str, callback: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        """:meth:`transfer`, continuing with ``callback(arg)`` (no event)."""
+        self._account(nbytes, kind)
+        self.bus.transfer_then(nbytes, callback, arg)
+
+    def _account(self, nbytes: int, kind: str) -> None:
         key = self._kind_keys.get(kind)
         if key is None:
             key = self._kind_keys[kind] = f"bus.{kind}_bytes"
         self.stats.add(key, nbytes)
         self.stats.add("bus.bytes", nbytes)
-        return self.bus.transfer(nbytes)
 
     def occupancy(self) -> float:
         """Busy fraction of this channel's bus (incl. background polling)."""

@@ -25,6 +25,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nmp.system import NMPSystem
 
 
+class IDCOp:
+    """One IDC operation in flight through a mechanism's callback chain.
+
+    The host-forwarded and dedicated-bus mechanisms serve their
+    straight-line operations as callback chains (see the
+    :mod:`repro.sim.engine` docstring); this is the state each chain
+    step receives.
+    """
+
+    __slots__ = ("src", "dst", "offset", "nbytes", "wire", "expected", "done")
+
+    def __init__(
+        self, src: int, dst: int, offset: int, nbytes: int, done: SimEvent,
+        wire: int = 0, expected: bool = False,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.offset = offset
+        self.nbytes = nbytes
+        #: wire bytes of the payload, where a chain reuses them.
+        self.wire = wire
+        #: a message the host already expects (no polling notice).
+        self.expected = expected
+        self.done: SimEvent = done
+
+
 class IDCMechanism(abc.ABC):
     """Abstract inter-DIMM transport used by one NMP system."""
 

@@ -6,13 +6,17 @@ notices it, reads the packet over the source channel, and writes it over
 the destination channel.  Reads additionally pay the return trip for the
 data.  ``MCN-BC`` (Fig. 12's baseline) emulates broadcast with one host
 read plus a per-destination write.
+
+Reads, writes, messages and broadcasts run as callback chains that push
+what a process per operation would (see the :mod:`repro.sim.engine`
+docstring).
 """
 
 from __future__ import annotations
 
-from repro.idc.base import IDCMechanism
+from repro.idc.base import IDCMechanism, IDCOp
 from repro.protocol.packet import FLIT_BYTES, wire_bytes_for_transfer
-from repro.sim.engine import AllOf, SimEvent
+from repro.sim.engine import SimEvent
 from repro.sim.time import ns
 
 #: wire size of a request/notification packet.
@@ -28,82 +32,123 @@ class CPUForwardingIDC(IDCMechanism):
         super().attach(system)
         self.sim = system.sim
         self.stats = system.stats
+        self._forward_latency_ps = ns(system.config.host.forward_latency_ns)
+        self._n_bc = f"{self.name}.bc"
 
     def remote_read(self, src_dimm, dst_dimm, offset, nbytes) -> SimEvent:
-        system = self._require_system()
-        done = self.sim.event(name="mcn.read")
-
-        def proc():
-            yield system.forwarder.forward(src_dimm, dst_dimm, CONTROL_WIRE_BYTES)
-            yield system.dimms[dst_dimm].mc.local_access(offset, nbytes, False)
-            wire = wire_bytes_for_transfer(nbytes)
-            yield system.forwarder.forward(dst_dimm, src_dimm, wire, notice_dimm=-1)
-            self.stats.add("idc.forwarded_bytes", nbytes)
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="mcn.read")
+        self._require_system()
+        done = SimEvent(self.sim, "mcn.read")
+        self.sim.defer(self._read_start, IDCOp(src_dimm, dst_dimm, offset, nbytes, done))
         return done
+
+    def _read_start(self, op: IDCOp) -> None:
+        request = self.system.forwarder.forward(op.src, op.dst, CONTROL_WIRE_BYTES)
+        self.sim.then(request, self._read_access, op)
+
+    def _read_access(self, op: IDCOp) -> None:
+        mc = self.system.dimms[op.dst].mc
+        mc.local_access_then(op.offset, op.nbytes, False, self._read_reply, op)
+
+    def _read_reply(self, op: IDCOp) -> None:
+        reply = self.system.forwarder.forward(
+            op.dst, op.src, wire_bytes_for_transfer(op.nbytes), notice_dimm=-1
+        )
+        self.sim.then(reply, self._forwarded, op)
+
+    def _forwarded(self, op: IDCOp) -> None:
+        self.stats.add("idc.forwarded_bytes", op.nbytes)
+        op.done.succeed(op.nbytes)
 
     def remote_write(self, src_dimm, dst_dimm, offset, nbytes) -> SimEvent:
-        system = self._require_system()
-        done = self.sim.event(name="mcn.write")
-
-        def proc():
-            wire = wire_bytes_for_transfer(nbytes)
-            yield system.forwarder.forward(src_dimm, dst_dimm, wire)
-            yield system.dimms[dst_dimm].mc.local_access(offset, nbytes, True)
-            self.stats.add("idc.forwarded_bytes", nbytes)
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="mcn.write")
+        self._require_system()
+        done = SimEvent(self.sim, "mcn.write")
+        self.sim.defer(self._write_start, IDCOp(src_dimm, dst_dimm, offset, nbytes, done))
         return done
+
+    def _write_start(self, op: IDCOp) -> None:
+        request = self.system.forwarder.forward(
+            op.src, op.dst, wire_bytes_for_transfer(op.nbytes)
+        )
+        self.sim.then(request, self._write_store, op)
+
+    def _write_store(self, op: IDCOp) -> None:
+        mc = self.system.dimms[op.dst].mc
+        mc.local_access_then(op.offset, op.nbytes, True, self._forwarded, op)
 
     def broadcast(self, src_dimm, offset, nbytes) -> SimEvent:
         """MCN-BC: one host read, then one write per destination DIMM."""
-        system = self._require_system()
-        done = self.sim.event(name="mcn.bc")
-        config = system.config
+        self._require_system()
+        done = SimEvent(self.sim, self._n_bc)
         wire = wire_bytes_for_transfer(nbytes)
-
-        def proc():
-            yield system.polling.notice(src_dimm)
-            src_channel = system.channels[config.channel_of(src_dimm)]
-            yield src_channel.transfer(wire, kind="fwd")
-            yield ns(config.host.forward_latency_ns)
-
-            def deliver(dst):
-                # every per-DIMM copy consumes the host forwarding engine
-                yield system.forwarder.engine.transfer(wire)
-                channel = system.channels[config.channel_of(dst)]
-                yield channel.transfer(wire, kind="fwd")
-                yield system.dimms[dst].mc.local_access(offset, nbytes, True)
-                self.stats.add("idc.forwarded_bytes", nbytes)
-
-            deliveries = [
-                self.sim.process(deliver(dst), name="mcn.bc.deliver")
-                for dst in range(config.num_dimms)
-                if dst != src_dimm
-            ]
-            yield AllOf(deliveries)
-            self.stats.add("idc.broadcast_ops")
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="mcn.bc")
+        self.sim.defer(
+            self._bc_start, IDCOp(src_dimm, -1, offset, nbytes, done, wire=wire)
+        )
         return done
+
+    def _bc_start(self, op: IDCOp) -> None:
+        # the host notices the request, reads the payload over the
+        # source channel once, and pays its forwarding latency
+        self.sim.then(self.system.polling.notice(op.src), self._bc_read, op)
+
+    def _bc_read(self, op: IDCOp) -> None:
+        system = self.system
+        src_channel = system.channels[system.config.channel_of(op.src)]
+        src_channel.transfer_then(op.wire, "fwd", self._bc_copy, op)
+
+    def _bc_copy(self, op: IDCOp) -> None:
+        self.sim.schedule(self._forward_latency_ps, self._bc_fan_out, op)
+
+    def _bc_fan_out(self, op: IDCOp) -> None:
+        delivered = []
+        for dst in range(self.system.config.num_dimms):
+            if dst != op.src:
+                landed = SimEvent(self.sim, "mcn.bc.deliver")
+                delivered.append(landed)
+                self.sim.defer(
+                    self._deliver_start,
+                    IDCOp(op.src, dst, op.offset, op.nbytes, landed, wire=op.wire),
+                )
+        self.sim.all_of(delivered, self._bc_done, op)
+
+    def _bc_done(self, op: IDCOp) -> None:
+        self.stats.add("idc.broadcast_ops")
+        op.done.succeed(op.nbytes)
+
+    def _deliver_start(self, copy: IDCOp) -> None:
+        # every per-DIMM copy consumes the host forwarding engine
+        self.system.forwarder.engine.transfer_then(copy.wire, self._deliver_write, copy)
+
+    def _deliver_write(self, copy: IDCOp) -> None:
+        system = self.system
+        channel = system.channels[system.config.channel_of(copy.dst)]
+        channel.transfer_then(copy.wire, "fwd", self._deliver_store, copy)
+
+    def _deliver_store(self, copy: IDCOp) -> None:
+        mc = self.system.dimms[copy.dst].mc
+        mc.local_access_then(copy.offset, copy.nbytes, True, self._delivered, copy)
+
+    def _delivered(self, copy: IDCOp) -> None:
+        self.stats.add("idc.forwarded_bytes", copy.nbytes)
+        copy.done.succeed(None)
 
     def message(self, src_dimm, dst_dimm, nbytes, expected: bool = False) -> SimEvent:
-        system = self._require_system()
-        done = self.sim.event(name="mcn.msg")
-
-        def proc():
-            yield system.forwarder.forward(
-                src_dimm,
-                dst_dimm,
-                CONTROL_WIRE_BYTES,
-                notice_dimm=-1 if expected else None,
-            )
-            self.stats.add("idc.messages")
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="mcn.msg")
+        self._require_system()
+        done = SimEvent(self.sim, "mcn.msg")
+        self.sim.defer(
+            self._message_start,
+            IDCOp(src_dimm, dst_dimm, 0, nbytes, done, expected=expected),
+        )
         return done
+
+    def _message_start(self, op: IDCOp) -> None:
+        sent = self.system.forwarder.forward(
+            op.src,
+            op.dst,
+            CONTROL_WIRE_BYTES,
+            notice_dimm=-1 if op.expected else None,
+        )
+        self.sim.then(sent, self._message_done, op)
+
+    def _message_done(self, op: IDCOp) -> None:
+        self.stats.add("idc.messages")
+        op.done.succeed(op.nbytes)

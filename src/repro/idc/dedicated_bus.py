@@ -5,13 +5,18 @@ without host involvement.  The bus's bandwidth matches a memory channel
 (Sec. V-B), so per-DIMM bandwidth shrinks as β / #DIMM under contention —
 the unscalability the paper highlights.  Broadcast is a single bus
 transfer that every DIMM snoops (AIM-BC in Fig. 12).
+
+Every operation runs as a callback chain that pushes what a process per
+operation would (see the :mod:`repro.sim.engine` docstring).
 """
 
 from __future__ import annotations
 
-from repro.idc.base import IDCMechanism
+from typing import Any, Callable
+
+from repro.idc.base import IDCMechanism, IDCOp
 from repro.protocol.packet import FLIT_BYTES, wire_bytes_for_transfer
-from repro.sim.engine import AllOf, SimEvent
+from repro.sim.engine import SimEvent
 from repro.sim.resource import BandwidthResource
 from repro.sim.time import ns
 
@@ -36,67 +41,80 @@ class DedicatedBusIDC(IDCMechanism):
             name="aim.bus",
         )
 
-    def _bus_transfer(self, wire_bytes: int) -> SimEvent:
+    def _bus_transfer(
+        self, wire_bytes: int, callback: Callable[[Any], None], arg: Any
+    ) -> None:
         self.stats.add("idc.dedicated_bus_bytes", wire_bytes)
-        return self.bus.transfer(wire_bytes)
+        self.bus.transfer_then(wire_bytes, callback, arg)
 
     def remote_read(self, src_dimm, dst_dimm, offset, nbytes) -> SimEvent:
-        system = self._require_system()
-        done = self.sim.event(name="aim.read")
-
-        def proc():
-            # the read command is broadcast; the owner snoops and replies
-            yield self._bus_transfer(CONTROL_WIRE_BYTES)
-            yield system.dimms[dst_dimm].mc.local_access(offset, nbytes, False)
-            yield self._bus_transfer(wire_bytes_for_transfer(nbytes))
-            self.stats.add("idc.bus_payload_bytes", nbytes)
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="aim.read")
+        self._require_system()
+        done = SimEvent(self.sim, "aim.read")
+        self.sim.defer(self._read_start, IDCOp(src_dimm, dst_dimm, offset, nbytes, done))
         return done
+
+    def _read_start(self, op: IDCOp) -> None:
+        # the read command is broadcast; the owner snoops and replies
+        self._bus_transfer(CONTROL_WIRE_BYTES, self._read_access, op)
+
+    def _read_access(self, op: IDCOp) -> None:
+        mc = self.system.dimms[op.dst].mc
+        mc.local_access_then(op.offset, op.nbytes, False, self._read_reply, op)
+
+    def _read_reply(self, op: IDCOp) -> None:
+        self._bus_transfer(wire_bytes_for_transfer(op.nbytes), self._carried, op)
+
+    def _carried(self, op: IDCOp) -> None:
+        self.stats.add("idc.bus_payload_bytes", op.nbytes)
+        op.done.succeed(op.nbytes)
 
     def remote_write(self, src_dimm, dst_dimm, offset, nbytes) -> SimEvent:
-        system = self._require_system()
-        done = self.sim.event(name="aim.write")
-
-        def proc():
-            yield self._bus_transfer(wire_bytes_for_transfer(nbytes))
-            yield system.dimms[dst_dimm].mc.local_access(offset, nbytes, True)
-            self.stats.add("idc.bus_payload_bytes", nbytes)
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="aim.write")
+        self._require_system()
+        done = SimEvent(self.sim, "aim.write")
+        self.sim.defer(self._write_start, IDCOp(src_dimm, dst_dimm, offset, nbytes, done))
         return done
+
+    def _write_start(self, op: IDCOp) -> None:
+        self._bus_transfer(wire_bytes_for_transfer(op.nbytes), self._write_store, op)
+
+    def _write_store(self, op: IDCOp) -> None:
+        mc = self.system.dimms[op.dst].mc
+        mc.local_access_then(op.offset, op.nbytes, True, self._carried, op)
 
     def broadcast(self, src_dimm, offset, nbytes) -> SimEvent:
         """AIM-BC: one bus transfer reaches every snooping DIMM."""
-        system = self._require_system()
-        done = self.sim.event(name="aim.bc")
-
-        def proc():
-            yield self._bus_transfer(wire_bytes_for_transfer(nbytes))
-            writes = [
-                system.dimms[dst].mc.local_access(offset, nbytes, True)
-                for dst in range(system.config.num_dimms)
-                if dst != src_dimm
-            ]
-            self.stats.add(
-                "idc.bus_payload_bytes", nbytes * (system.config.num_dimms - 1)
-            )
-            yield AllOf(writes)
-            self.stats.add("idc.broadcast_ops")
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="aim.bc")
+        self._require_system()
+        done = SimEvent(self.sim, "aim.bc")
+        self.sim.defer(self._bc_start, IDCOp(src_dimm, -1, offset, nbytes, done))
         return done
+
+    def _bc_start(self, op: IDCOp) -> None:
+        self._bus_transfer(wire_bytes_for_transfer(op.nbytes), self._bc_store, op)
+
+    def _bc_store(self, op: IDCOp) -> None:
+        system = self.system
+        writes = [
+            system.dimms[dst].mc.local_access(op.offset, op.nbytes, True)
+            for dst in range(system.config.num_dimms)
+            if dst != op.src
+        ]
+        self.stats.add(
+            "idc.bus_payload_bytes", op.nbytes * (system.config.num_dimms - 1)
+        )
+        self.sim.all_of(writes, self._bc_done, op)
+
+    def _bc_done(self, op: IDCOp) -> None:
+        self.stats.add("idc.broadcast_ops")
+        op.done.succeed(op.nbytes)
 
     def message(self, src_dimm, dst_dimm, nbytes, expected: bool = False) -> SimEvent:
-        done = self.sim.event(name="aim.msg")
-
-        def proc():
-            yield self._bus_transfer(CONTROL_WIRE_BYTES)
-            self.stats.add("idc.messages")
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="aim.msg")
+        done = SimEvent(self.sim, "aim.msg")
+        self.sim.defer(self._message_start, IDCOp(src_dimm, dst_dimm, 0, nbytes, done))
         return done
+
+    def _message_start(self, op: IDCOp) -> None:
+        self._bus_transfer(CONTROL_WIRE_BYTES, self._message_done, op)
+
+    def _message_done(self, op: IDCOp) -> None:
+        self.stats.add("idc.messages")
+        op.done.succeed(op.nbytes)

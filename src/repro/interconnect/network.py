@@ -26,7 +26,7 @@ CPU-forwarding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import LinkFailure, RoutingError
 from repro.faults.watchdog import LinkWatchdog
@@ -116,13 +116,11 @@ class PacketNetwork:
         # instead of formatting a fresh string on every packet
         self._n_send_self = f"{name}.send.self"
         self._n_send = f"{name}.send"
-        self._n_route = f"{name}.route"
         self._n_stream_self = f"{name}.stream.self"
         self._n_stream = f"{name}.stream"
         self._n_stream_route = f"{name}.stream.route"
         self._n_broadcast = f"{name}.broadcast"
-        self._n_bc = f"{name}.bc"
-        self._n_bc_finish = f"{name}.bc.finish"
+        self._n_bc_landed = f"{name}.bc.landed"
 
     @property
     def links(self) -> Dict[Edge, BandwidthResource]:
@@ -230,10 +228,8 @@ class PacketNetwork:
             event = self.sim.event(name=self._n_send_self)
             self.sim.schedule(0, event.succeed, wire_bytes)
             return event
-        done = self.sim.event(name=self._n_send)
-        self.sim.process(
-            self._route_proc(src, dst, wire_bytes, done), name=self._n_route
-        )
+        done = SimEvent(self.sim, self._n_send)
+        self.sim.defer(self._route_start, _Packet(src, dst, wire_bytes, done))
         return done
 
     def _hop_failed(self) -> bool:
@@ -262,92 +258,124 @@ class PacketNetwork:
         shift = min(attempt - 1, MAX_BACKOFF_FACTOR.bit_length())
         return min(self.retry_penalty_ps << shift, self.max_backoff_ps)
 
-    def _hop_with_retry(self, a: int, b: int, wire_bytes: int):
+    # -- the per-hop retry loop and the routed packet, as callback chains ----------
+    #
+    # Each chain makes the heap pushes a process running the same steps
+    # would: a start deferral, one push per fixed delay, and a completion
+    # push plus a deferral per transfer or event wait.
+
+    def _hop_with_retry(
+        self, a: int, b: int, wire_bytes: int,
+        then: Callable[[Any, Optional[LinkFailure]], None], arg: Any,
+    ) -> None:
         """Deliver one hop ``a -> b`` under the bounded retry/backoff loop.
 
         Covers both failure modes: a CRC-corrupted frame (link alive; the
         retransmission is itself subject to the same error rate) and a
         physically dead link (pure ACK silence, reported to the watchdog).
-        Raises :class:`LinkFailure` once ``max_retries`` is exhausted or
+        Calls ``then(arg, None)`` on delivery, or ``then(arg, failure)``
+        with a :class:`LinkFailure` once ``max_retries`` is exhausted or
         the link gets marked down under us.
         """
-        edge = self.topology.edge_key(a, b)
-        attempt = 0
-        while True:
-            state = self._state[edge]
-            if state.marked_down:
-                raise LinkFailure(f"{self.name}: link {a}<->{b} is down")
-            if state.up:
-                yield self.link(a, b).transfer(wire_bytes)
-                if not self._hop_failed():
-                    self.watchdog.report_success(edge)
-                    return
-                # CRC failure — the frame is retransmitted below, and the
-                # retransmission rolls the same per-hop error dice again
-            else:
-                # dead link: nothing comes back; the sender only learns
-                # from ACK silence, which the watchdog accumulates
-                self.stats.add("dl.ack_timeouts")
-                self.watchdog.report_timeout(edge)
-            attempt += 1
-            if attempt > self.max_retries:
-                raise LinkFailure(
-                    f"{self.name}: link {a}<->{b} gave up after "
-                    f"{self.max_retries} retries"
-                )
-            backoff = self._backoff_ps(attempt)
-            self.stats.add("dl.retransmissions")
-            self.stats.add("dl.backoff_ps", backoff)
-            trace = self.sim.trace
-            if trace.enabled:
-                trace.instant(
-                    "network",
-                    "retry",
-                    f"{self.name}.link{a}-{b}",
-                    attempt=attempt,
-                    backoff_ps=backoff,
-                )
-            yield backoff
+        self._hop_try(_Hop(a, b, self.topology.edge_key(a, b), wire_bytes, then, arg))
 
-    def _route_proc(self, src: int, dst: int, wire_bytes: int, done: SimEvent):
+    def _hop_try(self, hop: "_Hop") -> None:
+        state = self._state[hop.edge]
+        if state.marked_down:
+            hop.then(hop.arg, LinkFailure(f"{self.name}: link {hop.a}<->{hop.b} is down"))
+            return
+        if state.up:
+            self.link(hop.a, hop.b).transfer_then(hop.wire_bytes, self._hop_landed, hop)
+            return
+        # dead link: nothing comes back; the sender only learns from ACK
+        # silence, which the watchdog accumulates
+        self.stats.add("dl.ack_timeouts")
+        self.watchdog.report_timeout(hop.edge)
+        self._hop_retry(hop)
+
+    def _hop_landed(self, hop: "_Hop") -> None:
+        if not self._hop_failed():
+            self.watchdog.report_success(hop.edge)
+            hop.then(hop.arg, None)
+            return
+        # CRC failure — the frame is retransmitted, and the retransmission
+        # rolls the same per-hop error dice again
+        self._hop_retry(hop)
+
+    def _hop_retry(self, hop: "_Hop") -> None:
+        hop.attempt += 1
+        if hop.attempt > self.max_retries:
+            hop.then(hop.arg, LinkFailure(
+                f"{self.name}: link {hop.a}<->{hop.b} gave up after "
+                f"{self.max_retries} retries"
+            ))
+            return
+        backoff = self._backoff_ps(hop.attempt)
+        self.stats.add("dl.retransmissions")
+        self.stats.add("dl.backoff_ps", backoff)
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.instant(
+                "network",
+                "retry",
+                f"{self.name}.link{hop.a}-{hop.b}",
+                attempt=hop.attempt,
+                backoff_ps=backoff,
+            )
+        self.sim.schedule(backoff, self._hop_try, hop)
+
+    def _route_start(self, packet: "_Packet") -> None:
         """Adaptive store-and-forward routing: re-resolve the next hop at
         every step so mid-flight route recomputation takes effect."""
         trace = self.sim.trace
-        span = (
-            trace.begin(
+        if trace.enabled:
+            packet.span = trace.begin(
                 "network",
                 "packet",
                 f"{self.name}.route",
-                src=src,
-                dst=dst,
-                bytes=wire_bytes,
+                src=packet.src,
+                dst=packet.dst,
+                bytes=packet.wire_bytes,
             )
-            if trace.enabled
-            else None
-        )
-        try:
-            node = src
-            steps = 0
-            while node != dst:
-                nxt = self._next_hop_or_fail(node, dst)
-                yield from self._hop_with_retry(node, nxt, wire_bytes)
-                yield self.hop_latency_ps
-                self.stats.add("dl.hop_bytes", wire_bytes)
-                self.stats.add("dl.hops")
-                node = nxt
-                steps += 1
-                if steps > 2 * self.topology.n:
-                    raise LinkFailure(
-                        f"{self.name}: routing loop {src}->{dst} under churn"
-                    )
-        except LinkFailure as exc:
-            self.stats.add("dl.send_failures")
-            trace.end(span, status="failed")
-            done.fail(exc)
+        self._route_step(packet)
+
+    def _route_step(self, packet: "_Packet") -> None:
+        if packet.node == packet.dst:
+            self.stats.add("dl.packets")
+            self.sim.trace.end(packet.span, status="delivered", hops=packet.steps)
+            packet.done.succeed(packet.wire_bytes)
             return
-        self.stats.add("dl.packets")
-        trace.end(span, status="delivered", hops=steps)
-        done.succeed(wire_bytes)
+        try:
+            packet.next = self._next_hop_or_fail(packet.node, packet.dst)
+        except LinkFailure as exc:
+            self._route_failed(packet, exc)
+            return
+        self._hop_with_retry(
+            packet.node, packet.next, packet.wire_bytes, self._route_hopped, packet
+        )
+
+    def _route_hopped(self, packet: "_Packet", failure: Optional[LinkFailure]) -> None:
+        if failure is not None:
+            self._route_failed(packet, failure)
+            return
+        self.sim.schedule(self.hop_latency_ps, self._route_advance, packet)
+
+    def _route_advance(self, packet: "_Packet") -> None:
+        self.stats.add("dl.hop_bytes", packet.wire_bytes)
+        self.stats.add("dl.hops")
+        packet.node = packet.next
+        packet.steps += 1
+        if packet.steps > 2 * self.topology.n:
+            self._route_failed(packet, LinkFailure(
+                f"{self.name}: routing loop {packet.src}->{packet.dst} under churn"
+            ))
+            return
+        self._route_step(packet)
+
+    def _route_failed(self, packet: "_Packet", failure: LinkFailure) -> None:
+        self.stats.add("dl.send_failures")
+        self.sim.trace.end(packet.span, status="failed")
+        packet.done.fail(failure)
 
     def stream(self, src: int, dst: int, wire_bytes: int) -> SimEvent:
         """Pipelined bulk transfer ``src -> dst``.
@@ -462,67 +490,83 @@ class PacketNetwork:
         if not tree:
             self.sim.schedule(0, done.succeed, 0)
             return done
-        arrival: Dict[int, SimEvent] = {root: self.sim.event()}
+        arrival: Dict[int, SimEvent] = {root: SimEvent(self.sim)}
         arrival[root].succeed(None)
-
-        def forward(parent: int, child: int):
-            # the link reserves its occupancy as soon as the parent begins
-            # receiving (flits stream through); completion needs both the
-            # serialisation to finish and the parent's data to be there
-            edge = self.topology.edge_key(parent, child)
-            state = self._state[edge]
-            clean = False
-            if state.up and not state.marked_down:
-                transfer = self.link(parent, child).transfer(wire_bytes)
-                yield AllOf([arrival[parent], transfer])
-                clean = not self._hop_failed()
-            else:
-                yield arrival[parent]
-            if clean:
-                self.watchdog.report_success(edge)
-            else:
-                # corrupted or dead first copy: drop to the per-hop
-                # retry/backoff loop (raises LinkFailure on exhaustion)
-                yield from self._hop_with_retry(parent, child, wire_bytes)
-            yield self.hop_latency_ps
-            self.stats.add("dl.hop_bytes", wire_bytes)
-            self.stats.add("dl.hops")
-            arrival[child].succeed(None)
-
-        children = []
+        flood = _Flood(wire_bytes, done, arrival)
         for parent, child in tree:
-            arrival.setdefault(child, self.sim.event())
-            children.append(
-                self.sim.process(forward(parent, child), name=self._n_bc)
-            )
-
+            arrival.setdefault(child, SimEvent(self.sim))
+            landed = SimEvent(self.sim, self._n_bc_landed)
+            flood.children.append(landed)
+            self.sim.defer(self._flood_edge, _FloodEdge(parent, child, flood, landed))
         trace = self.sim.trace
-        span = (
-            trace.begin(
+        if trace.enabled:
+            flood.span = trace.begin(
                 "network",
                 "broadcast",
                 f"{self.name}.broadcast",
                 root=root,
                 bytes=wire_bytes,
             )
-            if trace.enabled
-            else None
+        self.sim.defer(self._flood_finish, flood)
+        return done
+
+    # The flood runs one callback chain per tree edge plus a finishing
+    # all-of wait, pushing what a process per edge and a finishing process
+    # would.
+
+    def _flood_edge(self, edge: "_FloodEdge") -> None:
+        # the link reserves its occupancy as soon as the parent begins
+        # receiving (flits stream through); completion needs both the
+        # serialisation to finish and the parent's data to be there
+        key = self.topology.edge_key(edge.parent, edge.child)
+        state = self._state[key]
+        parent_has_it = edge.flood.arrival[edge.parent]
+        if state.up and not state.marked_down:
+            transfer = self.link(edge.parent, edge.child).transfer(edge.flood.wire_bytes)
+            self.sim.all_of([parent_has_it, transfer], self._flood_streamed, edge)
+        else:
+            self.sim.then(parent_has_it, self._flood_retry, edge)
+
+    def _flood_streamed(self, edge: "_FloodEdge") -> None:
+        if self._hop_failed():
+            self._flood_retry(edge)
+            return
+        self.watchdog.report_success(self.topology.edge_key(edge.parent, edge.child))
+        self._flood_forwarded(edge, None)
+
+    def _flood_retry(self, edge: "_FloodEdge") -> None:
+        # corrupted or dead first copy: drop to the per-hop retry/backoff
+        # loop (fails the edge with LinkFailure on exhaustion)
+        self._hop_with_retry(
+            edge.parent, edge.child, edge.flood.wire_bytes, self._flood_forwarded, edge
         )
 
-        def finish():
-            try:
-                yield AllOf(children)
-            except LinkFailure as exc:
-                self.stats.add("dl.send_failures")
-                trace.end(span, status="failed")
-                done.fail(exc)
-                return
-            self.stats.add("dl.broadcasts")
-            trace.end(span, status="delivered")
-            done.succeed(wire_bytes)
+    def _flood_forwarded(self, edge: "_FloodEdge", failure: Optional[LinkFailure]) -> None:
+        if failure is not None:
+            edge.landed.fail(failure)
+            return
+        self.sim.schedule(self.hop_latency_ps, self._flood_arrived, edge)
 
-        self.sim.process(finish(), name=self._n_bc_finish)
-        return done
+    def _flood_arrived(self, edge: "_FloodEdge") -> None:
+        self.stats.add("dl.hop_bytes", edge.flood.wire_bytes)
+        self.stats.add("dl.hops")
+        edge.flood.arrival[edge.child].succeed(None)
+        edge.landed.succeed(None)
+
+    def _flood_finish(self, flood: "_Flood") -> None:
+        self.sim.all_of(
+            flood.children, self._flood_delivered, flood, on_fail=self._flood_cut
+        )
+
+    def _flood_delivered(self, flood: "_Flood") -> None:
+        self.stats.add("dl.broadcasts")
+        self.sim.trace.end(flood.span, status="delivered")
+        flood.done.succeed(flood.wire_bytes)
+
+    def _flood_cut(self, flood: "_Flood", failure: LinkFailure) -> None:
+        self.stats.add("dl.send_failures")
+        self.sim.trace.end(flood.span, status="failed")
+        flood.done.fail(failure)
 
     def total_busy_ps(self) -> int:
         """Sum of busy time across every directed link."""
@@ -535,3 +579,61 @@ class PacketNetwork:
     def iter_link_stats(self) -> Iterable[Tuple[Edge, BandwidthResource]]:
         """(directed edge, resource) pairs for reporting."""
         return self._links.items()
+
+
+class _Hop:
+    """One hop in flight under :meth:`PacketNetwork._hop_with_retry`."""
+
+    __slots__ = ("a", "b", "edge", "wire_bytes", "then", "arg", "attempt")
+
+    def __init__(self, a, b, edge, wire_bytes, then, arg) -> None:
+        self.a = a
+        self.b = b
+        self.edge = edge
+        self.wire_bytes = wire_bytes
+        self.then = then
+        self.arg = arg
+        self.attempt = 0
+
+
+class _Packet:
+    """One routed packet in flight (:meth:`PacketNetwork.send`)."""
+
+    __slots__ = ("src", "dst", "wire_bytes", "done", "span", "node", "next", "steps")
+
+    def __init__(self, src: int, dst: int, wire_bytes: int, done: SimEvent) -> None:
+        self.src = src
+        self.dst = dst
+        self.wire_bytes = wire_bytes
+        self.done = done
+        self.span = None
+        self.node = src
+        self.next = src
+        self.steps = 0
+
+
+class _Flood:
+    """One broadcast flood in flight (:meth:`PacketNetwork.broadcast`)."""
+
+    __slots__ = ("wire_bytes", "done", "arrival", "children", "span")
+
+    def __init__(self, wire_bytes: int, done: SimEvent, arrival: Dict[int, SimEvent]) -> None:
+        self.wire_bytes = wire_bytes
+        self.done = done
+        #: node -> event fired once the node holds the packet.
+        self.arrival = arrival
+        #: one event per tree edge, fired once the child holds the packet.
+        self.children: List[SimEvent] = []
+        self.span = None
+
+
+class _FloodEdge:
+    """One broadcast-tree edge of a :class:`_Flood`."""
+
+    __slots__ = ("parent", "child", "flood", "landed")
+
+    def __init__(self, parent: int, child: int, flood: _Flood, landed: SimEvent) -> None:
+        self.parent = parent
+        self.child = child
+        self.flood = flood
+        self.landed = landed

@@ -22,6 +22,41 @@ exception into the process at the current time.
 The kernel is single-threaded and deterministic: one binary heap of
 ``(time, seq, callback, arg)`` entries, popped one event at a time, so
 events scheduled at the same timestamp fire in scheduling order.
+
+Continuations
+-------------
+
+A straight-line request path (acquire a slot, wait a fixed delay, cross a
+medium, fire a completion event) does not need a generator.  It can run as
+a *callback chain* that makes the same heap pushes, in the same order, as
+the process it replaces, so every ``(time, seq)`` pair and every result
+byte stay the same:
+
+* :meth:`Simulator.defer` is the push a process start (or any same-time
+  resumption) makes;
+* :meth:`Simulator.schedule` / :meth:`Simulator.at` are the push an
+  integer ``yield`` makes;
+* :meth:`Simulator.then` is what an event wait pushes: nothing until the
+  event fires, then one :meth:`defer` of ``callback(arg)``.  A failed
+  event raises its exception out of :meth:`Simulator.run`, as an
+  unobserved process's exception does;
+* :meth:`Simulator.all_of` is the :class:`AllOf` wait: one deferral once
+  every event has fired, or one per failure (the first one wins);
+* :meth:`Simulator.then_at` is an event wait on an event scheduled to
+  succeed at an absolute time — the completion push plus the waiter's
+  deferral — without the event.
+
+The resources build their event-free *continuation forms* on
+:meth:`~Simulator.then_at` and :meth:`~Simulator.defer`:
+``BandwidthResource.transfer_then`` / ``occupy_then``,
+``SlotResource.acquire_then``, ``DRAMModule.access_then``,
+``MemoryChannel.transfer_then`` and
+``LocalMemoryController.local_access_then``.  Each shares its
+reservation routine with the event-returning form, so the two cannot
+drift apart.  A chain is not a
+:class:`Process`: it has no ``done`` event and never shows up in
+:meth:`Simulator.blocked_processes`.  Its requester does, named with the
+request event it waits on.
 """
 
 from __future__ import annotations
@@ -125,6 +160,15 @@ def active_watchdog() -> Optional[StallWatchdog]:
     return _ACTIVE_WATCHDOG
 
 
+def _reraise(exc: BaseException) -> None:
+    """Heap callback surfacing a failure no continuation handles."""
+    raise exc
+
+
+#: pending children an AllOf/AnyOf wait description names before "+N more".
+_NAMED_CHILDREN = 3
+
+
 def _describe_wait(target: Any) -> str:
     """Human-readable description of what a process is suspended on."""
     if isinstance(target, int):
@@ -133,10 +177,19 @@ def _describe_wait(target: Any) -> str:
         return f"process {target.name!r}"
     if isinstance(target, SimEvent):
         return f"event {target.name!r}"
-    if isinstance(target, AllOf):
-        return f"AllOf({len(target.children)} children)"
-    if isinstance(target, AnyOf):
-        return f"AnyOf({len(target.children)} children)"
+    if isinstance(target, (AllOf, AnyOf)):
+        # name what is still pending: a request served by a callback chain
+        # is no process of its own, so this is where it shows up
+        pending = [
+            _describe_wait(child)
+            for child in target.children
+            if not (child.finished if isinstance(child, Process) else child.triggered)
+        ]
+        shown = ", ".join(pending[:_NAMED_CHILDREN])
+        if len(pending) > _NAMED_CHILDREN:
+            shown += f", +{len(pending) - _NAMED_CHILDREN} more"
+        kind = type(target).__name__
+        return f"{kind}({len(target.children)} children; pending: {shown or 'none'})"
     return "nothing (not yet waiting)" if target is None else repr(target)
 
 
@@ -278,7 +331,7 @@ class Process:
         self._epoch = 0
         self._blocked_on: Any = None
         sim._live.add(self)
-        sim._schedule_now(self._step, None)
+        sim.defer(self._step, None)
 
     @property
     def finished(self) -> bool:
@@ -306,7 +359,7 @@ class Process:
             raise SimulationError(
                 f"process {self.name!r} interrupted with non-exception {exc!r}"
             )
-        self.sim._schedule_now(
+        self.sim.defer(
             lambda _arg: None if self._finished else self._advance(True, exc), None
         )
 
@@ -367,7 +420,7 @@ class Process:
         elif isinstance(target, (SimEvent, Process)):
             event = target.done if isinstance(target, Process) else target
             event.add_callback(
-                lambda ev, _e=epoch: self.sim._schedule_now(
+                lambda ev, _e=epoch: self.sim.defer(
                     self._event_resume, (_e, ev)
                 )
             )
@@ -383,7 +436,7 @@ class Process:
     def _wait_all(self, children: List[Any], epoch: int) -> None:
         pending = len(children)
         if pending == 0:
-            self.sim._schedule_now(lambda _arg: self._resume(epoch, False, []), None)
+            self.sim.defer(lambda _arg: self._resume(epoch, False, []), None)
             return
         results: List[Any] = [None] * pending
         remaining = [pending]
@@ -391,14 +444,14 @@ class Process:
         def on_done(index: int, ev: SimEvent) -> None:
             if ev.failed:
                 # first failure wins; stale-epoch guard drops the rest
-                self.sim._schedule_now(
+                self.sim.defer(
                     lambda _arg: self._resume(epoch, True, ev.value), None
                 )
                 return
             results[index] = ev.value
             remaining[0] -= 1
             if remaining[0] == 0:
-                self.sim._schedule_now(
+                self.sim.defer(
                     lambda _arg: self._resume(epoch, False, results), None
                 )
 
@@ -415,7 +468,7 @@ class Process:
             if delivered[0]:
                 return
             delivered[0] = True
-            self.sim._schedule_now(
+            self.sim.defer(
                 lambda _arg: self._resume(epoch, ev.failed, ev.value), None
             )
 
@@ -488,9 +541,64 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (time, self._seq, callback, arg))
 
-    def _schedule_now(self, callback: Callable[[Any], None], arg: Any) -> None:
+    def defer(self, callback: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``callback(arg)`` now, after everything already queued for now."""
         self._seq += 1
         heapq.heappush(self._queue, (self._now, self._seq, callback, arg))
+
+    def then(self, event: SimEvent, callback: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``callback(arg)`` once ``event`` fires, deferred as a process's
+        event wait is; a failed ``event`` raises out of :meth:`run`."""
+
+        def fired(ev: SimEvent) -> None:
+            if ev._failed:
+                self.defer(_reraise, ev._value)
+            else:
+                self.defer(callback, arg)
+
+        event.add_callback(fired)
+
+    def then_at(self, time: int, callback: Callable[[Any], None], arg: Any = None) -> None:
+        """:meth:`then` on an event that succeeds at ``time``, minus the event."""
+        self.at(time, self._wake, (callback, arg))
+
+    def _wake(self, waiter: Tuple[Callable[[Any], None], Any]) -> None:
+        self.defer(waiter[0], waiter[1])
+
+    def all_of(
+        self,
+        events: List[SimEvent],
+        callback: Callable[[Any], None],
+        arg: Any = None,
+        on_fail: Optional[Callable[[Any, BaseException], None]] = None,
+    ) -> None:
+        """Run ``callback(arg)`` once every event has fired (an :class:`AllOf`
+        wait).  A failure defers ``on_fail(arg, exc)`` instead; the first
+        one wins, and with no ``on_fail`` it raises out of :meth:`run`."""
+        remaining = [len(events)]
+        if not events:
+            self.defer(callback, arg)
+            return
+        settled = [False]
+
+        def failed(exc: BaseException) -> None:
+            if settled[0]:
+                return
+            settled[0] = True
+            if on_fail is None:
+                raise exc
+            on_fail(arg, exc)
+
+        def on_done(ev: SimEvent) -> None:
+            if ev._failed:
+                self.defer(failed, ev._value)
+                return
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                self.defer(callback, arg)
+
+        for event in events:
+            event.add_callback(on_done)
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a new process from a generator and return its handle."""

@@ -8,12 +8,16 @@ occupancy statistics (Fig. 15 of the paper) fall out for free.
 
 :class:`SlotResource` models a bounded pool of concurrency slots (e.g. an
 NMP core's outstanding-request window) with FIFO wakeup.
+
+Each blocking operation has an event-returning form for processes and an
+event-free continuation form (``*_then``) for callback chains; both call
+one reservation routine (see the :mod:`repro.sim.engine` docstring).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Any, Callable, Deque, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimEvent, Simulator
@@ -96,6 +100,19 @@ class BandwidthResource:
         ``extra_ps`` adds per-transfer fixed overhead (e.g. protocol
         processing) that occupies the medium along with the payload.
         """
+        event = SimEvent(self.sim, self._n_transfer)
+        self.sim.at(self._reserve(nbytes, extra_ps), event.succeed, nbytes)
+        return event
+
+    def transfer_then(
+        self, nbytes: int, callback: Callable[[Any], None], arg: Any = None,
+        extra_ps: int = 0,
+    ) -> None:
+        """:meth:`transfer`, continuing with ``callback(arg)`` (no event)."""
+        self.sim.then_at(self._reserve(nbytes, extra_ps), callback, arg)
+
+    def _reserve(self, nbytes: int, extra_ps: int) -> int:
+        """Book the medium for a transfer; returns its completion time."""
         if nbytes < 0:
             raise SimulationError(f"{self.name}: negative transfer size {nbytes}")
         start = max(self.sim.now, self._free_at)
@@ -105,12 +122,22 @@ class BandwidthResource:
         self.busy_ps += duration
         self.bytes_moved += nbytes
         self.transfers += 1
-        event = self.sim.event(name=self._n_transfer)
-        self.sim.at(end + self.latency_ps, event.succeed, nbytes)
-        return event
+        return end + self.latency_ps
 
     def occupy(self, duration_ps: int) -> SimEvent:
         """Reserve the medium for a fixed duration (no payload bytes)."""
+        event = SimEvent(self.sim, self._n_occupy)
+        self.sim.at(self._book(duration_ps), event.succeed, None)
+        return event
+
+    def occupy_then(
+        self, duration_ps: int, callback: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        """:meth:`occupy`, continuing with ``callback(arg)`` (no event)."""
+        self.sim.then_at(self._book(duration_ps), callback, arg)
+
+    def _book(self, duration_ps: int) -> int:
+        """Book the medium for a fixed duration; returns when it ends."""
         if duration_ps < 0:
             raise SimulationError(f"{self.name}: negative occupy {duration_ps}")
         start = max(self.sim.now, self._free_at)
@@ -118,9 +145,7 @@ class BandwidthResource:
         self._free_at = end
         self.busy_ps += duration_ps
         self.transfers += 1
-        event = self.sim.event(name=self._n_occupy)
-        self.sim.at(end, event.succeed, None)
-        return event
+        return end
 
 
 class SlotResource:
@@ -137,7 +162,8 @@ class SlotResource:
         self.name = name
         self.capacity = slots
         self._available = slots
-        self._waiters: Deque[SimEvent] = deque()
+        #: FIFO of event waiters and ``(callback, arg)`` continuation waiters.
+        self._waiters: Deque[Union[SimEvent, Tuple[Callable[[Any], None], Any]]] = deque()
         self.peak_in_use = 0
         self._n_acquire = f"{name}.acquire"
 
@@ -148,19 +174,41 @@ class SlotResource:
 
     def acquire(self) -> SimEvent:
         """Returns an event that fires once a slot has been granted."""
-        event = self.sim.event(name=self._n_acquire)
-        if self._available > 0:
-            self._available -= 1
-            self.peak_in_use = max(self.peak_in_use, self.in_use)
+        event = SimEvent(self.sim, self._n_acquire)
+        if self._take():
             event.succeed(None)
         else:
             self._waiters.append(event)
         return event
 
+    def acquire_then(self, callback: Callable[[Any], None], arg: Any = None) -> None:
+        """:meth:`acquire`, continuing with ``callback(arg)`` once granted.
+
+        Continuation waiters queue in the same FIFO as event waiters, and
+        a grant defers the callback exactly as an event grant resumes a
+        waiting process.
+        """
+        if self._take():
+            self.sim.defer(callback, arg)
+        else:
+            self._waiters.append((callback, arg))
+
+    def _take(self) -> bool:
+        """Take a free slot if there is one."""
+        if self._available > 0:
+            self._available -= 1
+            self.peak_in_use = max(self.peak_in_use, self.in_use)
+            return True
+        return False
+
     def release(self) -> None:
         """Return a slot; wakes the oldest waiter if any."""
         if self._waiters:
-            self._waiters.popleft().succeed(None)
+            waiter = self._waiters.popleft()
+            if waiter.__class__ is tuple:
+                self.sim.defer(waiter[0], waiter[1])
+            else:
+                waiter.succeed(None)
         else:
             if self._available >= self.capacity:
                 raise SimulationError(f"{self.name}: release without acquire")

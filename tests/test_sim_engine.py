@@ -376,6 +376,27 @@ def test_blocked_processes_describe_their_wait_targets():
     assert blocked["sleeper"].startswith("delay ")
 
 
+def test_condition_waits_name_their_pending_children():
+    sim = Simulator()
+    fired, waiting = sim.event("fired"), [sim.event(f"req{i}") for i in range(5)]
+    fired.succeed(None)
+
+    def on_all():
+        yield AllOf([fired] + waiting)
+
+    def on_any():
+        yield AnyOf(waiting[:2])
+
+    sim.process(on_all(), name="all")
+    sim.process(on_any(), name="any")
+    sim.run(until=0)
+    blocked = dict(sim.blocked_processes())
+    assert blocked["all"] == (
+        "AllOf(6 children; pending: event 'req0', event 'req1', event 'req2', +2 more)"
+    )
+    assert blocked["any"] == "AnyOf(2 children; pending: event 'req0', event 'req1')"
+
+
 def test_wall_clock_stall_raises_with_snapshot():
     from repro.errors import SimStallError
     from repro.sim import StallWatchdog
@@ -579,3 +600,126 @@ def test_deadlock_error_message_is_structured():
     )
     assert excinfo.value.blocked == [("stuck", "event 'never'")]
     assert excinfo.value.time_ps == 1_000
+
+
+# -- continuations: callback chains that push what a process would -------------------
+
+
+def _chain_or_process(chained, build):
+    """Run ``build(sim, chained, record)`` as chains or processes; return
+    the log of ``(tag, now, seq)`` records and the final push count."""
+    sim = Simulator()
+    log = []
+
+    def record(tag):
+        log.append((tag, sim.now, sim._seq))
+
+    build(sim, chained, record)
+    sim.run()
+    return log, sim._seq
+
+
+def test_then_pushes_what_an_event_wait_pushes():
+    def build(sim, chained, record):
+        early = sim.event("early")
+        early.succeed(None)
+        late = sim.event("late")
+        sim.schedule(ns(3), late.succeed, 7)
+        for tag, event in (("early", early), ("late", late)):
+            if chained:
+                sim.defer(lambda _arg, e=event, t=tag: sim.then(e, record, t))
+            else:
+                def waiter(e=event, t=tag):
+                    yield e
+                    record(t)
+
+                sim.process(waiter())
+
+    chained = _chain_or_process(True, build)
+    assert [tag for tag, _now, _seq in chained[0]] == ["early", "late"]
+    assert chained == _chain_or_process(False, build)
+
+
+def test_then_at_pushes_what_waiting_on_a_scheduled_event_pushes():
+    def build(sim, chained, record):
+        if chained:
+            sim.defer(lambda _arg: sim.then_at(ns(4), record, "at"))
+            return
+        def waiter():
+            event = sim.event("at")
+            sim.at(ns(4), event.succeed, None)
+            yield event
+            record("at")
+
+        sim.process(waiter())
+
+    assert _chain_or_process(True, build) == _chain_or_process(False, build)
+
+
+def test_all_of_pushes_what_an_allof_wait_pushes():
+    def build(sim, chained, record):
+        done = sim.event("done")
+        done.succeed(None)
+        later = sim.event("later")
+        sim.schedule(ns(2), later.succeed, None)
+        for tag, events in (("two", [done, later]), ("none", [])):
+            if chained:
+                sim.defer(lambda _arg, e=events, t=tag: sim.all_of(e, record, t))
+            else:
+                def waiter(e=events, t=tag):
+                    yield AllOf(e)
+                    record(t)
+
+                sim.process(waiter())
+
+    chained = _chain_or_process(True, build)
+    assert [tag for tag, _now, _seq in chained[0]] == ["none", "two"]
+    assert chained == _chain_or_process(False, build)
+
+
+def test_then_on_a_failed_event_raises_out_of_run():
+    sim = Simulator()
+    event = sim.event("doomed")
+    reached = []
+    sim.then(event, reached.append, "never")
+    sim.schedule(ns(1), lambda _arg: event.fail(ValueError("boom")))
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert reached == []
+
+
+def test_all_of_first_failure_wins_with_one_deferral_per_failure():
+    def build(sim, chained, record):
+        first, second, fine = sim.event("a"), sim.event("b"), sim.event("c")
+        sim.schedule(ns(1), lambda _arg: first.fail(ValueError("first")))
+        sim.schedule(ns(2), lambda _arg: second.fail(ValueError("second")))
+        sim.schedule(ns(3), fine.succeed, None)
+        if chained:
+            sim.defer(lambda _arg: sim.all_of(
+                [first, second, fine], record, "ok",
+                on_fail=lambda _arg, exc: record(str(exc)),
+            ))
+            return
+
+        def waiter():
+            try:
+                yield AllOf([first, second, fine])
+            except ValueError as exc:
+                record(str(exc))
+                return
+            record("ok")
+
+        sim.process(waiter())
+
+    chained = _chain_or_process(True, build)
+    assert [tag for tag, _now, _seq in chained[0]] == ["first"]
+    assert chained == _chain_or_process(False, build)
+
+
+def test_all_of_failure_without_handler_raises_out_of_run():
+    sim = Simulator()
+    event = sim.event("doomed")
+    sim.all_of([event, sim.event("never")], lambda _arg: None)
+    sim.schedule(ns(1), lambda _arg: event.fail(KeyError("cut")))
+    with pytest.raises(KeyError):
+        sim.run()

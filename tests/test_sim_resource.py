@@ -114,3 +114,66 @@ def test_slot_capacity_enforced():
     slots.release()
     sim.run()
     assert granted == [1, 2, 3]
+
+
+def test_slot_resource_wakes_event_and_continuation_waiters_in_one_fifo():
+    sim = Simulator()
+    slots = SlotResource(sim, 1)
+    order = []
+
+    def process_worker(tag):
+        yield slots.acquire()
+        order.append((tag, sim.now))
+        yield 100
+        slots.release()
+
+    def chain_worker(tag):
+        def granted(_arg):
+            order.append((tag, sim.now))
+            sim.schedule(100, lambda _arg: slots.release())
+
+        slots.acquire_then(granted)
+
+    # alternate the two kinds of waiter, each queued at time 0
+    sim.process(process_worker("p1"))
+    sim.schedule(0, lambda _arg: chain_worker("c1"))
+    sim.process(process_worker("p2"))
+    sim.schedule(0, lambda _arg: chain_worker("c2"))
+    sim.run()
+    assert order == [("p1", 0), ("c1", 100), ("p2", 200), ("c2", 300)]
+    assert slots.peak_in_use == 1
+    assert slots.in_use == 0
+
+
+def test_continuation_forms_push_what_their_event_forms_do():
+    def run(chained):
+        sim = Simulator()
+        bus = BandwidthResource(sim, bytes_per_ns=1.0, latency_ps=ns(2))
+        slots = SlotResource(sim, 1)
+        log = []
+
+        def record(tag):
+            log.append((tag, sim.now, sim._seq))
+
+        forms = [
+            ("xfer", lambda: bus.transfer(10), lambda t: bus.transfer_then(10, record, t)),
+            ("occ", lambda: bus.occupy(ns(5)), lambda t: bus.occupy_then(ns(5), record, t)),
+            ("slot", slots.acquire, lambda t: slots.acquire_then(record, t)),
+            ("queued", slots.acquire, lambda t: slots.acquire_then(record, t)),
+        ]
+        for tag, event_form, chain_form in forms:
+            if chained:
+                sim.defer(lambda _arg, form=chain_form, tag=tag: form(tag))
+            else:
+                def waiter(form=event_form, tag=tag):
+                    yield form()
+                    record(tag)
+
+                sim.process(waiter())
+        sim.schedule(ns(20), lambda _arg: slots.release())
+        sim.run()
+        return log
+
+    chained = run(True)
+    assert [tag for tag, _now, _seq in chained] == ["slot", "xfer", "occ", "queued"]
+    assert chained == run(False)
