@@ -59,10 +59,14 @@ def test_cli_runs_sized_experiment(tmp_path, capsys):
     assert hits == 0 and misses > 0  # cold cache: everything simulated
 
 
-def test_cli_no_cache_reports_misses_and_writes_nothing(tmp_path, capsys):
+def test_cli_no_cache_reports_misses_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)  # where a default .dimmlink-cache/ would land
     assert main(["fig17", "--size", "tiny", "--no-cache"]) == 0
     hits, misses = cache_stats(capsys.readouterr().out)
     assert hits == 0 and misses > 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_warm_cache_fig16_performs_zero_simulations(tmp_path, capsys):
@@ -561,48 +565,20 @@ def test_work_sigterm_swallowed_inside_the_spec_still_exits_143(
     assert (counts["done"], counts["pending"], counts["leased"]) == (1, 1, 0)
 
 
-def test_submit_streams_progress_through_tcp_service(tmp_path, capsys, monkeypatch):
-    """`submit` pointed at a tcp:// endpoint rides the service protocol:
-    structured submit report, live progress events, exit 0 on drain."""
-    import threading
-    import time
-
-    from repro.fabric.worker import Worker
-    from repro.service.server import ReproService, ServiceThread
-    from tests.test_runner_supervision import fake_result
-
-    specs = _tiny_gridded(monkeypatch)
-    service = ReproService(tmp_path / "broker", durable=False,
-                           poll_interval_s=0.02)
-    thread = ServiceThread(service).start()
-    try:
-        def drain_once_submitted():
-            # wait for the grid to land: a drain-mode worker on a still
-            # empty broker would see drained() and exit before the CLI
-            # even submits
-            deadline = time.monotonic() + 30.0
-            while (service.broker.counts()["total"] < len(specs)
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            Worker(
-                service.broker, execute=fake_result, poll_interval_s=0.01
-            ).run()
-
-        worker = threading.Thread(target=drain_once_submitted)
-        worker.start()
-        code = main(["submit", "mapping", "--broker", thread.address,
-                     "--size", "tiny"])
-        worker.join(30.0)
-    finally:
-        thread.drain(timeout_s=30.0)
-    assert code == 0
-    out = capsys.readouterr().out
-    assert f"{len(specs)} spec(s): {len(specs)} enqueued" in out
-    assert "grid complete" in out
-
-
 def test_serve_and_grid_commands_validate_endpoints(tmp_path):
     with pytest.raises(SystemExit):
         main(["serve", "--broker", "tcp://127.0.0.1:7741"])  # needs a dir
     with pytest.raises(SystemExit):
         main(["mapping", "--broker", "tcp://127.0.0.1:7741"])  # grids need a dir
+
+
+@pytest.mark.parametrize(
+    "command", [["submit", "mapping"], ["work"]], ids=["submit", "work"]
+)
+def test_fabric_commands_reject_socket_endpoints(tmp_path, monkeypatch, command):
+    """A stale tcp:// endpoint fails loudly instead of silently creating
+    a local ``tcp:/host:port`` broker directory nobody works on."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit):
+        main(command + ["--broker", "tcp://127.0.0.1:7741", "--size", "tiny"])
+    assert list(tmp_path.iterdir()) == []
